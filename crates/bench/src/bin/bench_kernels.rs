@@ -10,7 +10,9 @@ use goldfish_bench::report::{self, PerfReport, Table};
 use goldfish_bench::{args, fixtures};
 use goldfish_fed::aggregate::weighted_mean;
 use goldfish_fed::pool;
-use goldfish_tensor::conv::{conv2d_forward_ws, ConvWorkspace};
+use goldfish_tensor::conv::{
+    conv2d_backward_into, conv2d_forward_into, conv2d_forward_ws, ConvWorkspace,
+};
 use goldfish_tensor::{ops, Tensor};
 
 /// A boxed benchmark closure producing a tensor.
@@ -127,6 +129,46 @@ fn main() {
         }
     }
     conv_table.print();
+
+    report::heading("conv2d forward/backward at the distill-lenet LeNet-5 shapes");
+    let mut lenet_table = Table::new(&["layer", "batch", "forward ms", "backward ms"]);
+    for (label, nimg, ch, hw, f) in fixtures::LENET_CONV_CASES {
+        let (input, weight, bias, spec) = fixtures::conv_case(nimg, ch, hw, f, seed);
+        let mut ws = ConvWorkspace::new();
+        let mut out = Tensor::zeros(vec![0]);
+        let r_fwd = rep.time(&format!("conv2d_{label}_forward"), samples, || {
+            conv2d_forward_into(&input, &weight, &bias, &spec, &mut ws, &mut out);
+            std::hint::black_box(&out);
+        });
+        let grad_out = Tensor::filled(out.shape().to_vec(), 0.01);
+        // The first layer skips ∂input, as the network does.
+        let want_grad_in = ch > 1;
+        let (mut gi, mut gw, mut gb) = (
+            Tensor::zeros(vec![0]),
+            Tensor::zeros(vec![0]),
+            Tensor::zeros(vec![0]),
+        );
+        let r_bwd = rep.time(&format!("conv2d_{label}_backward"), samples, || {
+            conv2d_backward_into(
+                &grad_out,
+                &input,
+                &weight,
+                &spec,
+                &mut ws,
+                want_grad_in.then_some(&mut gi),
+                &mut gw,
+                &mut gb,
+            );
+            std::hint::black_box((&gi, &gw, &gb));
+        });
+        lenet_table.row(vec![
+            label.to_string(),
+            nimg.to_string(),
+            report::num(r_fwd.median_ns / 1e6, 3),
+            report::num(r_bwd.median_ns / 1e6, 3),
+        ]);
+    }
+    lenet_table.print();
 
     report::heading("weighted_mean (25 clients × 500k params)");
     let ups = fixtures::client_updates(fixtures::AGG_CLIENTS, fixtures::AGG_PARAMS, seed);

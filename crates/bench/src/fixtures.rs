@@ -42,6 +42,16 @@ pub fn square_pair(n: usize, seed: u64) -> (Tensor, Tensor) {
     )
 }
 
+/// The two convolutions of the `distill-lenet` benchmark workload's
+/// LeNet-5 (1×20×20 inputs, 5×5 kernels) at its training batch (20) and
+/// its inference batch (256): `(label, images, channels, side, filters)`.
+pub const LENET_CONV_CASES: [(&str, usize, usize, usize, usize); 4] = [
+    ("lenet_conv1_b20", 20, 1, 20, 6),
+    ("lenet_conv2_b20", 20, 6, 8, 16),
+    ("lenet_conv1_b256", 256, 1, 20, 6),
+    ("lenet_conv2_b256", 256, 6, 8, 16),
+];
+
 /// Inputs for one conv scenario: `(input, weight, bias, spec)` with a
 /// 5×5 stride-1 kernel.
 pub fn conv_case(

@@ -4,7 +4,11 @@
 //! minibatch is lowered into one `[c·kh·kw, n·oh·ow]` column matrix held
 //! in a reusable [`ConvWorkspace`], so forward is a single call into
 //! [`crate::engine`] per batch (instead of one allocation + matmul per
-//! image) and backward is two batched GEMMs plus a `col2im` scatter.
+//! image) and backward is two batched GEMMs plus a `col2im` scatter. The
+//! backward pass lowers straight into the transposed layout its `∂W`
+//! GEMM reads, so no column matrix is ever transposed.
+
+use std::ops::Range;
 
 use crate::engine;
 use crate::Tensor;
@@ -79,7 +83,8 @@ const COL_BLOCK_ELEMS: usize = 96 * 1024;
 /// functions below also accept an external one.
 #[derive(Debug, Default, Clone)]
 pub struct ConvWorkspace {
-    /// Column matrix for the current block: `[c·kh·kw, blk·oh·ow]`.
+    /// Lowered input of the current block: the column matrix
+    /// `[c·kh·kw, blk·oh·ow]` (forward) or its transpose (backward).
     col: Vec<f32>,
     /// Filter-major staging matrix `[f, blk·oh·ow]` (forward GEMM output;
     /// backward gather of `grad_out`).
@@ -102,10 +107,47 @@ fn block_images(ckk: usize, ohow: usize, n: usize) -> usize {
     (COL_BLOCK_ELEMS / (ckk * ohow).max(1)).clamp(1, n.max(1))
 }
 
+/// Output positions `lo..hi` along one axis whose input coordinate
+/// `o·stride + k − pad` falls inside `0..len`, for kernel offset `k`
+/// (empty when none does). `out` is the output extent along the axis.
+fn valid_span(k: usize, pad: usize, stride: usize, len: usize, out: usize) -> Range<usize> {
+    let lo = pad.saturating_sub(k).div_ceil(stride);
+    // o·stride + k − pad ≤ len − 1  ⇔  o ≤ (len − 1 + pad − k) / stride.
+    let hi = match (len + pad).checked_sub(k + 1) {
+        Some(top) => (top / stride + 1).min(out),
+        None => 0,
+    };
+    lo.min(hi)..hi
+}
+
+/// Kernel offsets `lo..hi` along one axis whose input coordinate
+/// `o·stride + k − pad` falls inside `0..len`, for output position `o`
+/// (empty when none does). `kernel` is the kernel extent along the axis.
+fn tap_span(o: usize, stride: usize, pad: usize, len: usize, kernel: usize) -> Range<usize> {
+    let start = o * stride;
+    let lo = pad.saturating_sub(start).min(kernel);
+    let hi = (len + pad).saturating_sub(start).min(kernel);
+    lo.min(hi)..hi
+}
+
+/// Zeroes the padding taps `dst`, skipping the `memset` call when there
+/// are none (the common case: most taps of most rows read the image).
+#[inline(always)]
+fn zero(dst: &mut [f32]) {
+    if !dst.is_empty() {
+        dst.fill(0.0);
+    }
+}
+
 /// Lowers the image block `[blk, c, h, w]` into the column matrix
 /// `[c·kh·kw, blk·oh·ow]` (column index `s·oh·ow + oy·ow + ox` with `s`
-/// relative to the block), writing into `col` (resized and zero-filled —
-/// zeros are the padding contribution).
+/// relative to the block), writing every element of `col` (resized;
+/// padding taps are zeros).
+///
+/// Each kernel tap `(ch, ky, kx)` works out once which output rows and
+/// columns read inside the image, then moves whole row segments: a
+/// contiguous copy at stride 1, a strided gather otherwise — no
+/// per-element bounds tests.
 #[allow(clippy::too_many_arguments)] // convolution geometry; crate-internal
 fn im2col_block(
     input: &[f32],
@@ -118,30 +160,88 @@ fn im2col_block(
     ow: usize,
     col: &mut Vec<f32>,
 ) {
-    let krows = c * spec.kh * spec.kw;
-    let cols = blk * oh * ow;
-    col.clear();
-    col.resize(krows * cols, 0.0);
-    let pad = spec.padding as isize;
-    for s in 0..blk {
-        let img = &input[s * c * h * w..(s + 1) * c * h * w];
-        for ch in 0..c {
-            for ky in 0..spec.kh {
-                for kx in 0..spec.kw {
-                    let krow = (ch * spec.kh + ky) * spec.kw + kx;
-                    let orow = &mut col[krow * cols + s * oh * ow..krow * cols + (s + 1) * oh * ow];
-                    for oy in 0..oh {
-                        let iy = (oy * spec.stride) as isize + ky as isize - pad;
-                        if iy < 0 || iy >= h as isize {
+    let ohow = oh * ow;
+    let cols = blk * ohow;
+    // No zeroing: the loop below writes every element.
+    col.resize(c * spec.kh * spec.kw * cols, 0.0);
+    let (stride, pad) = (spec.stride, spec.padding);
+    let mut taps = col.chunks_exact_mut(cols);
+    for ch in 0..c {
+        for ky in 0..spec.kh {
+            let ys = valid_span(ky, pad, stride, h, oh);
+            for kx in 0..spec.kw {
+                let xs = valid_span(kx, pad, stride, w, ow);
+                let tap = taps.next().expect("one row per tap");
+                for (s, out) in tap.chunks_exact_mut(ohow).enumerate() {
+                    let plane = &input[(s * c + ch) * h * w..(s * c + ch + 1) * h * w];
+                    for (oy, orow) in out.chunks_exact_mut(ow).enumerate() {
+                        if !ys.contains(&oy) || xs.is_empty() {
+                            orow.fill(0.0);
                             continue;
                         }
-                        for ox in 0..ow {
-                            let ix = (ox * spec.stride) as isize + kx as isize - pad;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
+                        zero(&mut orow[..xs.start]);
+                        zero(&mut orow[xs.end..]);
+                        let iy = oy * stride + ky - pad;
+                        let src = &plane[iy * w + xs.start * stride + kx - pad..(iy + 1) * w];
+                        let dst = &mut orow[xs.clone()];
+                        if stride == 1 {
+                            engine::copy_row(dst, src);
+                        } else {
+                            for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                                *d = v;
                             }
-                            orow[oy * ow + ox] = img[(ch * h + iy as usize) * w + ix as usize];
                         }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Lowers the image block into `[blk·oh·ow, c·kh·kw]` — the transpose of
+/// [`im2col_block`]'s column matrix, one row per output position — the
+/// `B` operand of the `∂W = G·colᵀ` GEMM, built without a transpose.
+/// Writes every element of `rows` (resized; padding taps are zeros).
+///
+/// Each output position works out once which kernel rows and columns
+/// read inside the image, then copies one contiguous `kw`-wide image
+/// segment per `(ch, ky)` (adjacent taps read adjacent pixels at any
+/// stride).
+#[allow(clippy::too_many_arguments)] // convolution geometry; crate-internal
+fn im2row_block(
+    input: &[f32],
+    blk: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    spec: &Conv2dSpec,
+    oh: usize,
+    ow: usize,
+    rows: &mut Vec<f32>,
+) {
+    let (kh, kw) = (spec.kh, spec.kw);
+    let ckk = c * kh * kw;
+    // No zeroing: the loop below writes every element.
+    rows.resize(blk * oh * ow * ckk, 0.0);
+    let (stride, pad) = (spec.stride, spec.padding);
+    let mut out = rows.chunks_exact_mut(ckk);
+    for img in input.chunks_exact(c * h * w).take(blk) {
+        for oy in 0..oh {
+            let kys = tap_span(oy, stride, pad, h, kh);
+            for ox in 0..ow {
+                let kxs = tap_span(ox, stride, pad, w, kw);
+                let row = out.next().expect("one row per position");
+                for (ch, taps) in row.chunks_exact_mut(kh * kw).enumerate() {
+                    for (ky, seg) in taps.chunks_exact_mut(kw).enumerate() {
+                        if !kys.contains(&ky) || kxs.is_empty() {
+                            seg.fill(0.0);
+                            continue;
+                        }
+                        zero(&mut seg[..kxs.start]);
+                        zero(&mut seg[kxs.end..]);
+                        let iy = oy * stride + ky - pad;
+                        let src = &img[(ch * h + iy) * w + ox * stride + kxs.start - pad..];
+                        engine::copy_row(&mut seg[kxs.clone()], src);
                     }
                 }
             }
@@ -152,7 +252,8 @@ fn im2col_block(
 /// Inverse of [`im2col_block`]: scatters the block's column matrix back
 /// onto images, **accumulating** overlapping contributions (as backprop
 /// requires). `img_out` covers the same block and must be zeroed by the
-/// caller.
+/// caller. Each input pixel receives its contributions in ascending
+/// `(ch, ky, kx)` order, whole row segments at a time.
 #[allow(clippy::too_many_arguments)] // convolution geometry; crate-internal
 fn col2im_block(
     col: &[f32],
@@ -165,30 +266,60 @@ fn col2im_block(
     ow: usize,
     img_out: &mut [f32],
 ) {
-    let cols = blk * oh * ow;
-    let pad = spec.padding as isize;
-    for s in 0..blk {
-        let img = &mut img_out[s * c * h * w..(s + 1) * c * h * w];
+    let ohow = oh * ow;
+    let cols = blk * ohow;
+    let (stride, pad) = (spec.stride, spec.padding);
+    for (s, img) in img_out.chunks_exact_mut(c * h * w).take(blk).enumerate() {
         for ch in 0..c {
             for ky in 0..spec.kh {
+                let ys = valid_span(ky, pad, stride, h, oh);
                 for kx in 0..spec.kw {
-                    let krow = (ch * spec.kh + ky) * spec.kw + kx;
-                    let crow = &col[krow * cols + s * oh * ow..krow * cols + (s + 1) * oh * ow];
-                    for oy in 0..oh {
-                        let iy = (oy * spec.stride) as isize + ky as isize - pad;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for ox in 0..ow {
-                            let ix = (ox * spec.stride) as isize + kx as isize - pad;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
+                    let xs = valid_span(kx, pad, stride, w, ow);
+                    if xs.is_empty() {
+                        continue;
+                    }
+                    let tap = (ch * spec.kh + ky) * spec.kw + kx;
+                    let crow = &col[tap * cols + s * ohow..tap * cols + (s + 1) * ohow];
+                    for oy in ys.clone() {
+                        let iy = oy * stride + ky - pad;
+                        let x0 = xs.start * stride + kx - pad;
+                        let src = &crow[oy * ow + xs.start..oy * ow + xs.end];
+                        let dst = &mut img[(ch * h + iy) * w + x0..(ch * h + iy + 1) * w];
+                        if stride == 1 {
+                            for (d, &v) in dst.iter_mut().zip(src) {
+                                *d += v;
                             }
-                            img[(ch * h + iy as usize) * w + ix as usize] += crow[oy * ow + ox];
+                        } else {
+                            for (d, &v) in dst.iter_mut().step_by(stride).zip(src) {
+                                *d += v;
+                            }
                         }
                     }
                 }
             }
+        }
+    }
+}
+
+/// Rows [`add_row_sums`] keeps in flight.
+const SUM_LANES: usize = 8;
+
+/// `sums[r] += m[r].iter().sum::<f32>()` for every row `r` of the
+/// row-major `[sums.len(), x]` matrix `m`, bit for bit: each row sum runs
+/// from `-0.0` (`Iterator::sum`'s start) in ascending column order. The
+/// rows are summed side by side, [`SUM_LANES`] at a time, so the
+/// additions of different rows overlap instead of each row waiting on
+/// one add latency per element.
+fn add_row_sums(sums: &mut [f32], m: &[f32], x: usize) {
+    for (sums, rows) in sums.chunks_mut(SUM_LANES).zip(m.chunks(SUM_LANES * x)) {
+        let mut acc = [-0.0f32; SUM_LANES];
+        for p in 0..x {
+            for (a, row) in acc.iter_mut().zip(rows.chunks_exact(x)) {
+                *a += row[p];
+            }
+        }
+        for (s, a) in sums.iter_mut().zip(acc) {
+            *s += a;
         }
     }
 }
@@ -260,8 +391,8 @@ pub fn conv2d_forward_into(
             &mut ws.col,
         );
         // [f, ckk] · [ckk, blk·oh·ow] → [f, blk·oh·ow]; the row-major
-        // `[f, c, kh, kw]` weight buffer *is* the `[f, ckk]` matrix.
-        ws.fmat.clear();
+        // `[f, c, kh, kw]` weight buffer *is* the `[f, ckk]` matrix. No
+        // zeroing: the GEMM overwrites `fmat`.
         ws.fmat.resize(f * x, 0.0);
         engine::gemm(f, ckk, x, weight.as_slice(), &ws.col, &mut ws.fmat);
         // Scatter filter-major `[f, blk·oh·ow]` into batch-major
@@ -364,8 +495,8 @@ pub fn conv2d_backward_into(
     while s0 < n {
         let blk = step.min(n - s0);
         let x = blk * ohow;
-        // Gather grad_out [blk, f, oh·ow] into filter-major G [f, blk·oh·ow].
-        ws.fmat.clear();
+        // Gather grad_out [blk, f, oh·ow] into filter-major G [f, blk·oh·ow]
+        // (every element is copied, so no zeroing).
         ws.fmat.resize(f * x, 0.0);
         for s in 0..blk {
             for fi in 0..f {
@@ -374,11 +505,14 @@ pub fn conv2d_backward_into(
             }
         }
         // ∂L/∂b += row sums of G.
-        for (gb, grow) in gbv.iter_mut().zip(ws.fmat.chunks_exact(x)) {
-            *gb += grow.iter().sum::<f32>();
-        }
-        // Re-lower this block and accumulate ∂L/∂W += G · colᵀ.
-        im2col_block(
+        add_row_sums(gbv, &ws.fmat, x);
+        // Re-lower this block straight into the `[blk·oh·ow, ckk]`
+        // layout and accumulate ∂L/∂W += G · colᵀ. `gemm` on the
+        // position-major lowering runs exactly what `gemm_a_bt` on the
+        // kernel-major one would after transposing it (same geometry,
+        // dispatch and ascending-position sum per element), minus the
+        // transpose.
+        im2row_block(
             &iv[s0 * c * h * w..(s0 + blk) * c * h * w],
             blk,
             c,
@@ -389,13 +523,13 @@ pub fn conv2d_backward_into(
             ow,
             &mut ws.col,
         );
-        engine::gemm_a_bt(f, x, ckk, &ws.fmat, &ws.col, &mut ws.gw_block);
+        engine::gemm(f, x, ckk, &ws.fmat, &ws.col, &mut ws.gw_block);
         for (acc, &v) in gwv.iter_mut().zip(ws.gw_block.iter()) {
             *acc += v;
         }
         // ∂L/∂col = Wᵀ · G ([ckk, f] · [f, x] → [ckk, x]), then scatter.
         if let Some(gi) = grad_in.as_deref_mut() {
-            ws.gcol.clear();
+            // No zeroing: the GEMM overwrites `gcol`.
             ws.gcol.resize(ckk * x, 0.0);
             engine::gemm_at_b(f, ckk, x, weight.as_slice(), &ws.fmat, &mut ws.gcol);
             col2im_block(
@@ -690,6 +824,237 @@ mod tests {
         for b in gb.as_slice() {
             assert!((b - (n * oh * ow) as f32).abs() < 1e-3);
         }
+    }
+
+    /// The definition-following lowering (six loops, a bounds test per
+    /// element) of image block `input` into `[c·kh·kw, blk·oh·ow]`.
+    #[allow(clippy::too_many_arguments)]
+    fn naive_im2col(
+        input: &[f32],
+        blk: usize,
+        c: usize,
+        h: usize,
+        w: usize,
+        spec: &Conv2dSpec,
+        oh: usize,
+        ow: usize,
+    ) -> Vec<f32> {
+        let cols = blk * oh * ow;
+        let mut col = vec![0.0f32; c * spec.kh * spec.kw * cols];
+        for s in 0..blk {
+            for ch in 0..c {
+                for ky in 0..spec.kh {
+                    for kx in 0..spec.kw {
+                        let tap = (ch * spec.kh + ky) * spec.kw + kx;
+                        for oy in 0..oh {
+                            for ox in 0..ow {
+                                let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                                let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                                if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
+                                    continue;
+                                }
+                                col[tap * cols + (s * oh + oy) * ow + ox] =
+                                    input[((s * c + ch) * h + iy as usize) * w + ix as usize];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        col
+    }
+
+    /// The definition-following inverse of [`naive_im2col`]: scatter-adds
+    /// in `(s, ch, ky, kx, oy, ox)` order.
+    #[allow(clippy::too_many_arguments)]
+    fn naive_col2im(
+        col: &[f32],
+        blk: usize,
+        c: usize,
+        h: usize,
+        w: usize,
+        spec: &Conv2dSpec,
+        oh: usize,
+        ow: usize,
+        img: &mut [f32],
+    ) {
+        let cols = blk * oh * ow;
+        for s in 0..blk {
+            for ch in 0..c {
+                for ky in 0..spec.kh {
+                    for kx in 0..spec.kw {
+                        let tap = (ch * spec.kh + ky) * spec.kw + kx;
+                        for oy in 0..oh {
+                            for ox in 0..ow {
+                                let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                                let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                                if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
+                                    continue;
+                                }
+                                img[((s * c + ch) * h + iy as usize) * w + ix as usize] +=
+                                    col[tap * cols + (s * oh + oy) * ow + ox];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Pins the row-copy lowering and the transpose-free `∂W` bit for bit:
+    /// forward and backward (with and without `∂L/∂input`) must equal the
+    /// engine GEMMs applied to the naive lowering over the same block
+    /// split — `∂W` as `gemm_a_bt(G, col)`, `∂col` as `gemm_at_b(W, G)` —
+    /// across strides, paddings, kernels and channel counts, with batches
+    /// that cross a column-block boundary.
+    #[test]
+    fn lowering_is_bitwise_equal_to_naive_im2col_and_engine_gemms() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut cases = 0;
+        for stride in 1..=2 {
+            for padding in 0..=2 {
+                for k in 1..=5 {
+                    for c in 1..=6 {
+                        let hw = if (c + k) % 2 == 0 { 7 } else { 12 };
+                        let f = 1 + (c + k + stride) % 4;
+                        let spec = Conv2dSpec::new(k, k, stride, padding);
+                        let (oh, ow) = spec.output_hw(hw, hw);
+                        let (ckk, ohow) = (c * k * k, oh * ow);
+                        // One image past the first block boundary.
+                        let step = block_images(ckk, ohow, usize::MAX);
+                        let n = step + 1;
+                        let mut draw = |len: usize| -> Vec<f32> {
+                            (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+                        };
+                        let input = Tensor::from_vec(vec![n, c, hw, hw], draw(n * c * hw * hw));
+                        let weight = Tensor::from_vec(vec![f, c, k, k], draw(f * ckk));
+                        let bias = Tensor::from_vec(vec![f], draw(f));
+                        let gout = Tensor::from_vec(vec![n, f, oh, ow], draw(n * f * ohow));
+
+                        // Oracle over the same block split.
+                        let (iv, gv, wv) = (input.as_slice(), gout.as_slice(), weight.as_slice());
+                        let per = c * hw * hw;
+                        let mut want_out = vec![0.0f32; n * f * ohow];
+                        let mut want_gw = vec![0.0f32; f * ckk];
+                        let mut want_gb = vec![0.0f32; f];
+                        let mut want_gi = vec![0.0f32; n * per];
+                        let mut s0 = 0;
+                        while s0 < n {
+                            let blk = step.min(n - s0);
+                            let x = blk * ohow;
+                            let block = &iv[s0 * per..(s0 + blk) * per];
+                            let col = naive_im2col(block, blk, c, hw, hw, &spec, oh, ow);
+                            let mut fmat = vec![0.0f32; f * x];
+                            engine::gemm(f, ckk, x, wv, &col, &mut fmat);
+                            let mut g = vec![0.0f32; f * x];
+                            for s in 0..blk {
+                                for fi in 0..f {
+                                    let o = ((s0 + s) * f + fi) * ohow;
+                                    for pos in 0..ohow {
+                                        want_out[o + pos] =
+                                            fmat[fi * x + s * ohow + pos] + bias.as_slice()[fi];
+                                        g[fi * x + s * ohow + pos] = gv[o + pos];
+                                    }
+                                }
+                            }
+                            for (gb, grow) in want_gb.iter_mut().zip(g.chunks_exact(x)) {
+                                *gb += grow.iter().sum::<f32>();
+                            }
+                            let mut gw_block = vec![0.0f32; f * ckk];
+                            engine::gemm_a_bt(f, x, ckk, &g, &col, &mut gw_block);
+                            for (acc, v) in want_gw.iter_mut().zip(&gw_block) {
+                                *acc += v;
+                            }
+                            let mut gcol = vec![0.0f32; ckk * x];
+                            engine::gemm_at_b(f, ckk, x, wv, &g, &mut gcol);
+                            naive_col2im(
+                                &gcol,
+                                blk,
+                                c,
+                                hw,
+                                hw,
+                                &spec,
+                                oh,
+                                ow,
+                                &mut want_gi[s0 * per..(s0 + blk) * per],
+                            );
+                            s0 += blk;
+                        }
+
+                        let what = format!("stride {stride} pad {padding} k {k} c {c} f {f} n {n}");
+                        let mut ws = ConvWorkspace::new();
+                        let mut out = Tensor::zeros(vec![0]);
+                        conv2d_forward_into(&input, &weight, &bias, &spec, &mut ws, &mut out);
+                        assert_eq!(bits(out.as_slice()), bits(&want_out), "forward: {what}");
+                        let (mut gi, mut gw, mut gb) = (
+                            Tensor::zeros(vec![0]),
+                            Tensor::zeros(vec![0]),
+                            Tensor::zeros(vec![0]),
+                        );
+                        conv2d_backward_into(
+                            &gout,
+                            &input,
+                            &weight,
+                            &spec,
+                            &mut ws,
+                            Some(&mut gi),
+                            &mut gw,
+                            &mut gb,
+                        );
+                        assert_eq!(bits(gi.as_slice()), bits(&want_gi), "∂input: {what}");
+                        assert_eq!(bits(gw.as_slice()), bits(&want_gw), "∂W: {what}");
+                        assert_eq!(bits(gb.as_slice()), bits(&want_gb), "∂b: {what}");
+                        conv2d_backward_into(
+                            &gout, &input, &weight, &spec, &mut ws, None, &mut gw, &mut gb,
+                        );
+                        assert_eq!(
+                            bits(gw.as_slice()),
+                            bits(&want_gw),
+                            "∂W without ∂input: {what}"
+                        );
+                        assert_eq!(
+                            bits(gb.as_slice()),
+                            bits(&want_gb),
+                            "∂b without ∂input: {what}"
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 3 * 5 * 6);
+    }
+
+    #[test]
+    fn row_sums_match_iterator_sum_bitwise() {
+        // 11 rows (more than SUM_LANES) of 7, including all-negative-zero
+        // rows, whose sum depends on the starting value.
+        let x = 7;
+        let m: Vec<f32> = (0..11 * x)
+            .map(|i| match i / x {
+                3 | 9 => -0.0,
+                r => ((i * 37 % 11) as f32 - 5.0) * 0.1 + r as f32,
+            })
+            .collect();
+        let mut got = vec![0.5f32; 11];
+        add_row_sums(&mut got, &m, x);
+        let want: Vec<f32> = m
+            .chunks_exact(x)
+            .map(|r| 0.5 + r.iter().sum::<f32>())
+            .collect();
+        assert_eq!(bits(&got), bits(&want));
+        let mut zeros = vec![-0.0f32; 11];
+        add_row_sums(&mut zeros, &m, x);
+        let want: Vec<f32> = m
+            .chunks_exact(x)
+            .map(|r| -0.0 + r.iter().sum::<f32>())
+            .collect();
+        assert_eq!(bits(&zeros), bits(&want));
     }
 
     #[test]

@@ -8,28 +8,44 @@
 //!
 //! # Dispatch
 //!
-//! Each entry point picks between two implementations by problem size
-//! (`m·k·n` multiply-accumulates):
+//! Each entry point picks an implementation by problem size (`m·k·n`
+//! multiply-accumulates) and output width:
 //!
 //! * **small** (< [`SMALL_FLOPS`]): a straightforward loop in the same
 //!   per-element accumulation order as [`crate::ops::reference`], so small
 //!   results are *bitwise identical* to the reference oracle (several unit
 //!   tests across the workspace rely on exact equality at toy sizes);
-//! * **large**: a register-tiled kernel computing [`MR`]`×`[`NR`] output
+//! * **narrow** (`n <` [`NR`]): `B` (for `A·Bᵀ`: `B` transposed, in the
+//!   same pass) is copied into one zero-padded `[k, NR]` panel and run
+//!   through the register tile; the padding lanes are dead;
+//! * **tiled**: a register-tiled kernel computing [`MR`]`×`[`NR`] output
 //!   tiles whose accumulators stay in vector registers across the entire
-//!   reduction — one store per output element instead of a load+store per
-//!   reduction step, each `B` load reused across [`MR`] rows, and (with
-//!   the per-element `== 0.0` branch of the old implementation removed)
-//!   fixed-width inner loops that LLVM fully vectorizes. At or above
-//!   [`PAR_FLOPS`], output rows are split into contiguous ranges processed
-//!   in parallel on the current rayon pool.
+//!   reduction — one store per output element, each `B` load reused
+//!   across [`MR`] rows, fixed-width inner loops that LLVM fully
+//!   vectorizes. Each [`NR`]-column strip reads `B` from a contiguous
+//!   panel: packed once per strip for deep reductions (`k ≥` [`KPACK`]),
+//!   read in place for short ones and when `n ==` [`NR`] (`B` already is
+//!   the panel). The `n %` [`NR`] **tail** columns are packed into a
+//!   zero-padded panel and run through the same register tile (the edge
+//!   tile). At or above [`PAR_FLOPS`], output rows are split into
+//!   contiguous ranges processed in parallel on the current rayon pool.
 //!
-//! Floating-point note: the tiled path accumulates each output element in
-//! ascending-`p` order — the reference association — but uses hardware
-//! fused multiply-add where available (one rounding per step instead of
-//! two), so large-path results can differ from the reference by normal
-//! `k · ε` accumulation rounding (the equivalence proptests pin it under
-//! `1e-4` for workspace-scale values). Results never depend on the thread
+//! # Floating point
+//!
+//! Every path accumulates each output element from zero in ascending-`p`
+//! order — the reference association — one term at a time. What differs
+//! is the rounding of a step:
+//!
+//! * **unfused** (`o += x·v`: the product and the sum each round): the
+//!   small path and the edge tile's tail columns;
+//! * **fused** (hardware FMA where available, one rounding per step):
+//!   full strips of the tiled path and the narrow path.
+//!
+//! Fused results can differ from the reference by normal `k · ε`
+//! accumulation rounding (the equivalence proptests pin it under `1e-4`
+//! for workspace-scale values); unfused ones match it bitwise
+//! (`tests/engine_equivalence.rs` pins the tail columns). Which path an
+//! element takes depends only on the problem shape, never on the thread
 //! count: row ranges are disjoint and each output element is accumulated
 //! in a fixed order.
 
@@ -96,18 +112,13 @@ fn flops(m: usize, k: usize, n: usize) -> usize {
 }
 
 thread_local! {
-    /// Per-thread scratch for the packed `B` panel of the tiled kernel.
+    /// Per-thread scratch for a packed, zero-padded `NR`-wide `B` panel
+    /// (full strips with deep reductions, tail strips, narrow outputs).
     static PANEL_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
     /// Per-thread scratch for the transposed `A` block of `Aᵀ·B`.
     static AT_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-    /// Per-thread scratch for the materialised `Bᵀ` of `A·Bᵀ`.
+    /// Per-thread scratch for the materialised `Bᵀ` of a wide `A·Bᵀ`.
     static BT_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-    /// Per-thread scratch for the zero-padded `B` panel of the
-    /// narrow-output kernel.
-    static NARROW_B: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-    /// Per-thread scratch for the padded output of the narrow-output
-    /// kernel.
-    static NARROW_OUT: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
 /// Runs `f` on a per-thread scratch vector resized to `len`.
@@ -118,8 +129,8 @@ thread_local! {
 /// capacity intact. This is what makes the training hot path
 /// allocation-free after warm-up: GEMM pack scratch is reused across
 /// every step on each thread instead of being reallocated per call.
-/// Newly exposed elements are zeroed; all three pack sites overwrite
-/// their scratch completely before reading it.
+/// Newly exposed elements are zeroed; every pack site overwrites its
+/// scratch completely before reading it.
 fn with_scratch<R>(
     cell: &'static std::thread::LocalKey<Cell<Vec<f32>>>,
     len: usize,
@@ -178,7 +189,7 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32])
     } else if n < NR {
         // Narrow outputs have no full register strip; run the tiled
         // kernel over a zero-padded panel instead.
-        gemm_narrow_tiled(m, k, n, a, b, out);
+        gemm_narrow(m, k, n, a, b, out);
     } else if work >= PAR_FLOPS && rayon::current_num_threads() > 1 {
         parallel_rows(m, n, out, |rows, chunk| {
             gemm_rows_tiled(rows, k, n, a, b, chunk);
@@ -188,31 +199,22 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32])
     }
 }
 
-/// Register-tiled kernel for **narrow outputs** (`n <` [`NR`]): zero-pads
-/// `B` to one full `NR`-column panel, runs the tiled kernel over it and
-/// copies the `n` real columns back out.
+/// Register-tiled kernel for **narrow outputs** (`n <` [`NR`]): packs
+/// `B` into one zero-padded [`NR`]-column panel and runs the fused tile
+/// over it, storing the `n` real columns.
 ///
-/// Narrow outputs — classifier heads, thin dense layers — previously fell
-/// back to the reference-order loop, whose `n`-wide inner loop neither
-/// tiles nor vectorizes well; on the training hot path the head GEMM
-/// cost more than the 6×-larger hidden-layer GEMM. The padding columns
-/// are dead lanes (zeros in, discarded out); each real element still
-/// accumulates in the tiled kernel's ascending-`p` FMA order, so this is
-/// a large-path kernel like any other: deterministic at every thread
-/// count, equivalent to the oracle within accumulation rounding.
-fn gemm_narrow_tiled(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+/// Narrow outputs — classifier heads, thin dense layers, conv `∂W` with
+/// small `c·kh·kw` — would otherwise fall back to the reference-order
+/// loop, whose `n`-wide inner loop neither tiles nor vectorizes well.
+/// The padding lanes are dead (zeros in, discarded out); each real
+/// element accumulates in the tiled kernel's ascending-`p` FMA order, so
+/// this is a large-path kernel like any other: deterministic at every
+/// thread count, equivalent to the oracle within accumulation rounding.
+fn gemm_narrow(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     debug_assert!(n < NR && n > 0);
-    with_scratch(&NARROW_B, k * NR, |bp| {
-        for (dst, src) in bp.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
-            dst[..n].copy_from_slice(src);
-            dst[n..].fill(0.0);
-        }
-        with_scratch(&NARROW_OUT, m * NR, |op| {
-            gemm_rows_tiled(0..m, k, NR, a, bp, op);
-            for (orow, prow) in out.chunks_exact_mut(n).zip(op.chunks_exact(NR)) {
-                orow.copy_from_slice(&prow[..n]);
-            }
-        });
+    with_scratch(&PANEL_SCRATCH, k * NR, |panel| {
+        pack_panel(panel, b, n, 0, n);
+        strip::<true>(0..m, k, n, a, panel, NR, out, 0, n);
     });
 }
 
@@ -229,156 +231,163 @@ fn gemm_rows_small(rows: Range<usize>, k: usize, n: usize, a: &[f32], b: &[f32],
     }
 }
 
-/// Register-tiled kernel for output rows `rows`.
+/// Register-tiled kernel for output rows `rows` of `A·B` (`n ≥` [`NR`]).
 ///
-/// The output is processed in [`MR`]-row × [`NR`]-column register tiles:
-/// each tile's accumulators live in registers across the *entire* `k`
-/// reduction (one store per output element instead of a load+store per
-/// reduction step) and every packed `B` load is reused across [`MR`]
-/// rows. The loop nest is strip-major: each `NR`-column panel of `B` is
-/// packed contiguously once ([`pack_panel`]) and then swept by every row
-/// group, so the hot loop reads two dense streams with no strided access
-/// and no per-step bounds checks. Per output element the accumulation
-/// visits `p` in ascending order one term at a time — the same
-/// association as the reference oracle.
+/// The output is swept in [`NR`]-column strips. A full strip reads its
+/// `B` columns from a contiguous `[k, NR]` panel: packed once per strip
+/// ([`pack_panel`]) for deep reductions, read in place for short ones
+/// (where the pack would cost as much as the tile compute, e.g. conv
+/// lowerings with tiny `c·kh·kw`) and when `n == NR` (`B` already *is*
+/// the panel). Full strips accumulate with FMA. The `n % NR` tail
+/// columns are packed into a zero-padded panel and run through the same
+/// register tile, accumulating unfused (`o += x·v`, one rounding for the
+/// product and one for the sum): that keeps them bitwise equal to the
+/// reference oracle, which `tail_columns_match_reference_bitwise` pins.
 fn gemm_rows_tiled(rows: Range<usize>, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    // Packing a B panel pays off only when it is swept many times (deep
-    // reductions). For short reductions (e.g. conv lowerings with tiny
-    // c·kh·kw) the pack would cost as much as the tile compute, so read B
-    // in place instead.
-    let pack = k >= KPACK;
-    with_scratch(&PANEL_SCRATCH, if pack { k * NR } else { 0 }, |bpack| {
-        gemm_rows_tiled_with(rows, k, n, a, b, out, pack, bpack);
+    let pack = k >= KPACK && n != NR;
+    let full = n - n % NR;
+    let scratch = if pack || full < n { k * NR } else { 0 };
+    with_scratch(&PANEL_SCRATCH, scratch, |panel| {
+        for j0 in (0..full).step_by(NR) {
+            if pack {
+                pack_panel(panel, b, n, j0, NR);
+                strip::<true>(rows.clone(), k, n, a, panel, NR, out, j0, NR);
+            } else {
+                strip::<true>(rows.clone(), k, n, a, &b[j0..], n, out, j0, NR);
+            }
+        }
+        if full < n {
+            pack_panel(panel, b, n, full, n - full);
+            strip::<false>(rows, k, n, a, panel, NR, out, full, n - full);
+        }
     });
 }
 
-/// Body of [`gemm_rows_tiled`] over caller-provided panel scratch.
-#[allow(clippy::too_many_arguments)] // GEMM geometry + scratch; crate-internal
-fn gemm_rows_tiled_with(
+/// `dst.copy_from_slice(&src[..dst.len()])` for the short rows of panel
+/// packs and conv lowerings: a runtime-length `copy_from_slice` lowers
+/// to a `memcpy` call, whose fixed cost dwarfs a 16–100-byte copy, while
+/// constant-size chunks lower to inline vector moves.
+#[inline(always)]
+pub(crate) fn copy_row(dst: &mut [f32], src: &[f32]) {
+    let src = &src[..dst.len()];
+    let mut d = dst.chunks_exact_mut(8);
+    let mut s = src.chunks_exact(8);
+    for (d, s) in (&mut d).zip(&mut s) {
+        d.copy_from_slice(s);
+    }
+    let (mut d, mut s) = (d.into_remainder(), s.remainder());
+    if d.len() >= 4 {
+        d[..4].copy_from_slice(&s[..4]);
+        (d, s) = (&mut d[4..], &s[4..]);
+    }
+    if d.len() >= 2 {
+        d[..2].copy_from_slice(&s[..2]);
+        (d, s) = (&mut d[2..], &s[2..]);
+    }
+    if let (Some(d), Some(&v)) = (d.first_mut(), s.first()) {
+        *d = v;
+    }
+}
+
+/// Packs columns `j0..j0 + width` (`width ≤` [`NR`]) of the row-major
+/// `[k, n]` matrix `b` into `k` contiguous [`NR`]-wide panel rows,
+/// zero-padding lanes `width..NR`.
+fn pack_panel(panel: &mut [f32], b: &[f32], n: usize, j0: usize, width: usize) {
+    for (prow, brow) in panel.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
+        let prow: &mut [f32; NR] = prow.try_into().expect("panel width");
+        if width == NR {
+            prow.copy_from_slice(&brow[j0..j0 + NR]);
+        } else {
+            *prow = [0.0; NR];
+            copy_row(&mut prow[..width], &brow[j0..]);
+        }
+    }
+}
+
+/// Computes output columns `j0..j0 + width` of rows `rows` from the
+/// panel `b`: its `k` rows start every `ldb` elements and each holds
+/// [`NR`] readable lanes (lanes past `width` are dead: zeros in,
+/// discarded out). Rows are taken [`MR`] at a time, then the rest as
+/// one shorter tile.
+#[allow(clippy::too_many_arguments)] // GEMM geometry + panel view; crate-internal
+fn strip<const FUSED: bool>(
     rows: Range<usize>,
     k: usize,
     n: usize,
     a: &[f32],
     b: &[f32],
+    ldb: usize,
     out: &mut [f32],
-    pack: bool,
-    bpack: &mut [f32],
-) {
-    let mut j0 = 0;
-    while j0 + NR <= n {
-        if pack {
-            pack_panel(bpack, b, n, j0);
-        }
-        let mut orows = out.chunks_exact_mut(MR * n);
-        let mut i = rows.start;
-        for ogroup in orows.by_ref() {
-            let arows = &a[i * k..(i + MR) * k];
-            if pack {
-                tile_group::<MR>(ogroup, arows, bpack, k, n, j0);
-            } else {
-                tile_group_direct::<MR>(ogroup, arows, b, k, n, j0);
-            }
-            i += MR;
-        }
-        for orow in orows.into_remainder().chunks_exact_mut(n) {
-            let arow = &a[i * k..(i + 1) * k];
-            if pack {
-                tile_group::<1>(orow, arow, bpack, k, n, j0);
-            } else {
-                tile_group_direct::<1>(orow, arow, b, k, n, j0);
-            }
-            i += 1;
-        }
-        j0 += NR;
-    }
-    if j0 < n {
-        for (r, orow) in out.chunks_exact_mut(n).enumerate() {
-            let tail = &mut orow[j0..];
-            tail.fill(0.0);
-            edge_cols(
-                tail,
-                &a[(rows.start + r) * k..(rows.start + r + 1) * k],
-                b,
-                n,
-                j0,
-            );
-        }
-    }
-}
-
-/// Variant of [`tile_group`] reading the `B` panel in place (unpacked):
-/// used for short reductions where packing cannot amortize.
-fn tile_group_direct<const R: usize>(
-    ogroup: &mut [f32],
-    a_rows: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
     j0: usize,
+    width: usize,
 ) {
-    let a: [&[f32]; R] = std::array::from_fn(|r| &a_rows[r * k..(r + 1) * k]);
-    let mut acc = [[0.0f32; NR]; R];
-    for (p, brow) in b.chunks_exact(n).take(k).enumerate() {
-        let bseg: &[f32; NR] = brow[j0..].first_chunk().expect("strip width");
-        for (accr, arow) in acc.iter_mut().zip(a) {
-            let x = arow[p];
-            for (av, &bv) in accr.iter_mut().zip(bseg) {
-                fma_acc(av, x, bv);
-            }
-        }
+    let mut i = rows.start;
+    let mut orows = out.chunks_exact_mut(MR * n);
+    for ogroup in orows.by_ref() {
+        tile::<MR, FUSED>(ogroup, &a[i * k..(i + MR) * k], k, n, b, ldb, j0, width);
+        i += MR;
     }
-    for (orow, accr) in ogroup.chunks_exact_mut(n).zip(acc) {
-        orow[j0..j0 + NR].copy_from_slice(&accr);
-    }
-}
-
-/// Packs the `NR`-wide column panel of `B` starting at column `j0` into
-/// `k` contiguous rows.
-fn pack_panel(bpack: &mut [f32], b: &[f32], n: usize, j0: usize) {
-    for (prow, brow) in bpack.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
-        prow.copy_from_slice(&brow[j0..j0 + NR]);
+    // The last `m % MR` rows as one shorter tile, so each B load still
+    // feeds every remaining row.
+    let rest = orows.into_remainder();
+    let a_rest = &a[i * k..];
+    const _: () = assert!(MR <= 6, "one match arm per leftover row count");
+    match rest.len() / n {
+        0 => {}
+        1 => tile::<1, FUSED>(rest, a_rest, k, n, b, ldb, j0, width),
+        2 => tile::<2, FUSED>(rest, a_rest, k, n, b, ldb, j0, width),
+        3 => tile::<3, FUSED>(rest, a_rest, k, n, b, ldb, j0, width),
+        4 => tile::<4, FUSED>(rest, a_rest, k, n, b, ldb, j0, width),
+        5 => tile::<5, FUSED>(rest, a_rest, k, n, b, ldb, j0, width),
+        _ => unreachable!("fewer than MR rows are left"),
     }
 }
 
-/// Computes the `R×NR` tile at rows `ogroup` (R concatenated output
-/// rows), columns `j0..j0+NR`, from the `R` concatenated A rows and the
-/// packed B panel.
+/// Computes the `R×NR` register tile at rows `ogroup` (`R` concatenated
+/// output rows of width `n`) from the `R` concatenated A rows and
+/// `panel`, storing lanes `..width` at column `j0`. Each accumulator
+/// visits `p` in ascending order from zero — with FMA when `FUSED`, else
+/// as `o += x·v`.
 ///
 /// Note the A scalars are deliberately loaded one `arow[p]` at a time
 /// from `R` separate row slices: funnelling them through a contiguous
 /// `[f32; R]` (packed-A layouts) makes LLVM lower the tile to
 /// insert/extract shuffles instead of broadcasts and runs ~15× slower.
-fn tile_group<const R: usize>(
+/// The panel likewise comes in as a plain `(b, ldb)` pair: bundling it
+/// into a struct was enough for LLVM to stop unrolling the row loop and
+/// spill the accumulators (~10× slower).
+#[allow(clippy::too_many_arguments)] // GEMM geometry + panel view; crate-internal
+fn tile<const R: usize, const FUSED: bool>(
     ogroup: &mut [f32],
     a_rows: &[f32],
-    bpack: &[f32],
     k: usize,
     n: usize,
+    b: &[f32],
+    ldb: usize,
     j0: usize,
+    width: usize,
 ) {
     let a: [&[f32]; R] = std::array::from_fn(|r| &a_rows[r * k..(r + 1) * k]);
     let mut acc = [[0.0f32; NR]; R];
-    for (p, bseg) in bpack.chunks_exact(NR).take(k).enumerate() {
-        let bseg: &[f32; NR] = bseg.try_into().expect("panel width");
+    for (p, brow) in b.chunks(ldb).take(k).enumerate() {
+        let bseg: &[f32; NR] = brow.first_chunk().expect("panel width");
         for (accr, arow) in acc.iter_mut().zip(a) {
             let x = arow[p];
             for (av, &bv) in accr.iter_mut().zip(bseg) {
-                fma_acc(av, x, bv);
+                if FUSED {
+                    fma_acc(av, x, bv);
+                } else {
+                    *av += x * bv;
+                }
             }
         }
     }
     for (orow, accr) in ogroup.chunks_exact_mut(n).zip(acc) {
-        orow[j0..j0 + NR].copy_from_slice(&accr);
-    }
-}
-
-/// Reference-order fallback for the `n % NR` trailing columns of one row:
-/// `o_tail += arow · B[:, j0..]` where `o_tail` starts at column `j0`.
-fn edge_cols(o_tail: &mut [f32], arow: &[f32], b: &[f32], n: usize, j0: usize) {
-    for (p, &x) in arow.iter().enumerate() {
-        let btail = &b[p * n + j0..(p + 1) * n];
-        for (o, &v) in o_tail.iter_mut().zip(btail) {
-            *o += x * v;
+        if width == NR {
+            // Fixed-width store: full strips stay vector moves.
+            orow[j0..j0 + NR].copy_from_slice(&accr);
+        } else {
+            orow[j0..j0 + width].copy_from_slice(&accr[..width]);
         }
     }
 }
@@ -417,7 +426,7 @@ pub fn gemm_at_b(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
                     *dst = a[p * m + c];
                 }
             }
-            gemm_narrow_tiled(m, k, n, packed, b, out);
+            gemm_narrow(m, k, n, packed, b, out);
         });
     } else if work >= PAR_FLOPS && rayon::current_num_threads() > 1 {
         parallel_rows(m, n, out, |rows, chunk| {
@@ -456,7 +465,7 @@ fn at_b_rows_small(
 ///
 /// Each group of [`MR`] output rows corresponds to [`MR`] *columns* of
 /// `A`; those are packed (transposed) into a contiguous row-major scratch
-/// block first, after which the shared [`tile_rows`] kernel runs
+/// block first, after which the shared [`gemm_rows_tiled`] kernel runs
 /// unchanged. The pack touches `A` once per group (`m·k` elements total —
 /// noise next to the `m·k·n` reduction) and keeps the hot loop free of
 /// strided loads, which LLVM otherwise lowers catastrophically at wider
@@ -491,9 +500,10 @@ fn at_b_rows_tiled(
 /// `out = A · Bᵀ` with `A: [m, k]`, `B: [n, k]`, `out: [m, n]`
 /// (overwritten), without materialising the transpose on the small path.
 ///
-/// The large path materialises `Bᵀ` once into scratch (`n·k` moves, noise
-/// next to the `m·k·n` reduction) and reuses the packed-panel tiled
-/// kernel, which beats any dot-product formulation by a wide margin: row
+/// The large path transposes `B` once (`n·k` moves, noise next to the
+/// `m·k·n` reduction) — for narrow outputs straight into the zero-padded
+/// panel of the narrow kernel, otherwise into a materialised `Bᵀ` — and
+/// reuses the tiled kernel, which beats any dot-product formulation by a wide margin: row
 /// dot products carry a serial FMA dependency chain, while the tiled
 /// kernel keeps [`MR`]`·`[`NR`] independent accumulators in flight.
 ///
@@ -516,17 +526,27 @@ pub fn gemm_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
         a_bt_rows_small(0..m, k, n, a, b, out);
         return;
     }
+    if n < NR {
+        // Narrow outputs (e.g. classifier heads): transpose B once,
+        // straight into the zero-padded panel of the narrow kernel.
+        with_scratch(&PANEL_SCRATCH, k * NR, |panel| {
+            for (p, prow) in panel.chunks_exact_mut(NR).enumerate() {
+                for (j, dst) in prow[..n].iter_mut().enumerate() {
+                    *dst = b[j * k + p];
+                }
+                prow[n..].fill(0.0);
+            }
+            strip::<true>(0..m, k, n, a, panel, NR, out, 0, n);
+        });
+        return;
+    }
     with_scratch(&BT_SCRATCH, k * n, |bt| {
         for (j, brow) in b.chunks_exact(k).enumerate() {
             for (p, &v) in brow.iter().enumerate() {
                 bt[p * n + j] = v;
             }
         }
-        if n < NR {
-            // Narrow outputs (e.g. classifier heads, conv ∂W with small
-            // c·kh·kw): padded-panel tiled kernel over the transposed B.
-            gemm_narrow_tiled(m, k, n, a, bt, out);
-        } else if work >= PAR_FLOPS && rayon::current_num_threads() > 1 {
+        if work >= PAR_FLOPS && rayon::current_num_threads() > 1 {
             let bt = &*bt;
             parallel_rows(m, n, out, |rows, chunk| {
                 gemm_rows_tiled(rows, k, n, a, bt, chunk);

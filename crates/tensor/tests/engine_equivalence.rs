@@ -187,6 +187,73 @@ fn engine_slice_api_agrees_with_reference_at_large_sizes() {
     }
 }
 
+/// The `n % NR` tail columns of the tiled path accumulate unfused
+/// (`o += x·v`) in ascending-`p` order from zero — exactly the oracle's
+/// arithmetic — so for nonzero `A` (the oracle skips zero elements) they
+/// must match it bit for bit, in all three orientations, with `B` read in
+/// place (`k <` `KPACK`), packed (`k ≥` `KPACK`) and split across threads
+/// (`m·k·n ≥` `PAR_FLOPS`).
+#[test]
+fn tail_columns_match_reference_bitwise() {
+    let nr = engine::NR;
+    for &(m, k, n) in &[
+        (13usize, 40usize, nr + 7),
+        (9, 70, 2 * nr + 5),
+        (20, 150, 4 * nr + 22),
+        (7, 300, nr + 1),
+        (130, 131, 4 * nr + 1),
+    ] {
+        assert!(
+            m * k * n >= engine::SMALL_FLOPS,
+            "{m}x{k}x{n} must take the tiled path"
+        );
+        // Nonzero everywhere: values in ±[0.05, 1.05).
+        let val = |i: usize, salt: usize| {
+            let x = ((i * 7919 + salt * 104_729) % 2003) as f32 / 2003.0 + 0.05;
+            if (i + salt).is_multiple_of(3) {
+                -x
+            } else {
+                x
+            }
+        };
+        let a: Vec<f32> = (0..m * k).map(|i| val(i, 1)).collect();
+        let b: Vec<f32> = (0..k * n).map(|i| val(i, 2)).collect();
+        let tail = n - n % nr;
+        let check = |got: &[f32], want: &Tensor, what: &str| {
+            for (i, (g, w)) in got
+                .chunks_exact(n)
+                .zip(want.as_slice().chunks_exact(n))
+                .enumerate()
+            {
+                for j in tail..n {
+                    assert_eq!(
+                        g[j].to_bits(),
+                        w[j].to_bits(),
+                        "{what} {m}x{k}x{n}: tail element ({i}, {j}) {} vs {}",
+                        g[j],
+                        w[j]
+                    );
+                }
+            }
+        };
+        let mut out = vec![f32::NAN; m * n];
+        let ta = Tensor::from_vec(vec![m, k], a.clone());
+        let tb = Tensor::from_vec(vec![k, n], b.clone());
+        engine::gemm(m, k, n, &a, &b, &mut out);
+        check(&out, &ops::reference::matmul(&ta, &tb), "gemm");
+
+        // Aᵀ·B: A stored [k, m].
+        let tat = Tensor::from_vec(vec![k, m], a.clone());
+        engine::gemm_at_b(k, m, n, &a, &b, &mut out);
+        check(&out, &ops::reference::matmul_at_b(&tat, &tb), "gemm_at_b");
+
+        // A·Bᵀ: B stored [n, k].
+        let tbt = Tensor::from_vec(vec![n, k], b.clone());
+        engine::gemm_a_bt(m, k, n, &a, &b, &mut out);
+        check(&out, &ops::reference::matmul_a_bt(&ta, &tbt), "gemm_a_bt");
+    }
+}
+
 /// Helper so proptest strategies can be sampled with an explicit seed
 /// inside test bodies (keeps matrices reproducible per case).
 trait GenerateWith {

@@ -1,39 +1,54 @@
 //! Pins the "zero per-step heap allocations after warm-up" guarantee of
-//! the training runtime on the dense path, using a counting global
-//! allocator. Kept in its own integration-test binary so no concurrent
-//! test can allocate while the counter is armed.
+//! the training runtime on the dense and the conv path, using a counting
+//! global allocator. Only allocations made by the armed thread count, so
+//! libtest's own threads cannot leak into the armed window; the steps
+//! run on a one-thread pool, so every kernel runs on that thread too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use goldfish::core::basic_model::{clip_grad_norm, TeacherCache};
 use goldfish::core::loss::{GoldfishBatch, GoldfishLoss, GoldfishLossBufs, LossWeights};
 use goldfish::data::synthetic::{self, SyntheticSpec};
 use goldfish::data::BatchGather;
+use goldfish::fed::pool;
 use goldfish::nn::loss::{CrossEntropy, HardLoss};
 use goldfish::nn::optim::FusedSgd;
-use goldfish::nn::zoo;
+use goldfish::nn::{zoo, Network};
 use goldfish::tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 
-/// The two tests below share one global allocation counter; this lock
-/// keeps them from allocating into each other's armed window.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-/// Counts allocations (and growth reallocations) while armed.
+/// Counts allocations (and growth reallocations) made by an armed thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Whether this thread's allocations are counted, and how many it
+    /// made while armed. Const-initialised with no destructor, so
+    /// touching them never allocates.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_if_armed() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+    }
+}
+
+/// Runs `f` with the calling thread armed and returns how many
+/// allocations it made.
+fn allocations_in(f: impl FnOnce()) -> usize {
+    ALLOCS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
+    f();
+    ARMED.with(|a| a.set(false));
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         System.alloc(layout)
     }
 
@@ -42,9 +57,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -52,22 +65,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[test]
-fn distillation_step_is_allocation_free_after_warm_up() {
-    // The Goldfish unlearning step on the dense path: teacher logits
-    // from the cache (bulk row gather for full batches, fallback
-    // forward through the teacher's inference workspace for the short
-    // tail), student forward through its arenas, the fused composite
-    // loss (remaining + forget parts) into reused buffers, the
-    // allocation-free gradient clip and the fused optimizer.
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let spec = SyntheticSpec::mnist().with_size(8, 8).with_shift(1);
+/// Allocations made by steady-state Goldfish unlearning steps of the
+/// network `make` builds, on `spec`-shaped data, after warm-up: teacher
+/// logits from the cache (bulk row gather for full batches, fallback
+/// forward through the teacher's inference workspace for the short
+/// tail), student forward through its arenas, the fused composite loss
+/// (remaining + forget parts) into reused buffers, the allocation-free
+/// gradient clip and the fused optimizer.
+fn distillation_step_allocations(
+    spec: SyntheticSpec,
+    make: impl Fn(&mut StdRng) -> Network,
+) -> usize {
     let (train, _) = synthetic::generate(&spec, 76, 10, 9);
     let remaining = train.subset(&(12..76).collect::<Vec<usize>>()); // 64 rows
     let forget = train.subset(&(0..12).collect::<Vec<usize>>());
     let mut rng = StdRng::seed_from_u64(1);
-    let mut student = zoo::mlp(64, &[32], 10, &mut rng);
-    let teacher = zoo::mlp(64, &[32], 10, &mut rng);
+    let mut student = make(&mut rng);
+    let teacher = make(&mut rng);
 
     let loss = GoldfishLoss::new(Arc::new(CrossEntropy), LossWeights::default());
     let mut cache = TeacherCache::build(teacher, &remaining, 20);
@@ -149,40 +163,65 @@ fn distillation_step_is_allocation_free_after_warm_up() {
 
     // Armed: full batches, the short tail and short forget slices must
     // not touch the allocator.
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    for _ in 0..3 {
-        for (chunk, fchunk) in rem_batches.iter().zip(fg_batches.iter()) {
+    allocations_in(|| {
+        for _ in 0..3 {
+            for (chunk, fchunk) in rem_batches.iter().zip(fg_batches.iter()) {
+                step(
+                    &mut gather_r,
+                    &mut gather_f,
+                    &mut grad,
+                    &mut bufs,
+                    &mut cache,
+                    chunk,
+                    fchunk,
+                );
+            }
             step(
                 &mut gather_r,
                 &mut gather_f,
                 &mut grad,
                 &mut bufs,
                 &mut cache,
-                chunk,
-                fchunk,
+                &tail,
+                &fg_batches[2][..2],
             );
         }
-        step(
-            &mut gather_r,
-            &mut gather_f,
-            &mut grad,
-            &mut bufs,
-            &mut cache,
-            &tail,
-            &fg_batches[2][..2],
-        );
-    }
-    ARMED.store(false, Ordering::SeqCst);
-    let n = ALLOCS.load(Ordering::SeqCst);
+    })
+}
+
+#[test]
+fn distillation_step_is_allocation_free_after_warm_up() {
+    // The dense path: the paper-shaped MLP on 8×8 synthetic MNIST.
+    let spec = SyntheticSpec::mnist().with_size(8, 8).with_shift(1);
+    let n = pool::install(Some(1), || {
+        distillation_step_allocations(spec, |rng| zoo::mlp(64, &[32], 10, rng))
+    });
     assert_eq!(n, 0, "distillation steps performed {n} heap allocations");
+}
+
+#[test]
+fn lenet_distillation_step_is_allocation_free_after_warm_up() {
+    // The conv path at the distillation benchmark's shapes: LeNet-5 on
+    // 1×20×20 inputs (im2col/im2row lowering, narrow and tail-column
+    // GEMM panels, col2im), B = 20 with short tails.
+    let spec = SyntheticSpec::mnist().with_size(20, 20).with_shift(2);
+    let n = pool::install(Some(1), || {
+        distillation_step_allocations(spec, |rng| zoo::lenet5(1, 20, 20, 10, rng))
+    });
+    assert_eq!(
+        n, 0,
+        "LeNet-5 distillation steps performed {n} heap allocations"
+    );
 }
 
 #[test]
 fn dense_training_step_is_allocation_free_after_warm_up() {
     // The paper-shaped MLP round workload at its reduced scale: 64
     // synthetic-MNIST features, one hidden layer, B = 20.
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    pool::install(Some(1), dense_training_steps);
+}
+
+fn dense_training_steps() {
     let spec = SyntheticSpec::mnist().with_size(8, 8).with_shift(1);
     let (train, _) = synthetic::generate(&spec, 60, 10, 9);
     let mut rng = StdRng::seed_from_u64(1);
@@ -211,15 +250,13 @@ fn dense_training_step_is_allocation_free_after_warm_up() {
     step(&mut gather, &mut grad, &batches[0][..7]);
 
     // Armed: full and short batches must not touch the allocator.
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    for _ in 0..3 {
-        for chunk in &batches {
-            step(&mut gather, &mut grad, chunk);
+    let n = allocations_in(|| {
+        for _ in 0..3 {
+            for chunk in &batches {
+                step(&mut gather, &mut grad, chunk);
+            }
+            step(&mut gather, &mut grad, &batches[1][..7]);
         }
-        step(&mut gather, &mut grad, &batches[1][..7]);
-    }
-    ARMED.store(false, Ordering::SeqCst);
-    let n = ALLOCS.load(Ordering::SeqCst);
+    });
     assert_eq!(n, 0, "training steps performed {n} heap allocations");
 }

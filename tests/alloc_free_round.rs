@@ -3,12 +3,13 @@
 //! allocator: encode-once assignment (borrowed straight from the
 //! coordinator's global), persistent per-client loopback workers
 //! (network arenas + gather buffers + optimizer velocity reused),
-//! streaming fixed-slot aggregation, and the global-buffer swap. Kept in
-//! its own integration-test binary so no concurrent test can allocate
-//! while the counter is armed.
+//! streaming fixed-slot aggregation, and the global-buffer swap. Only
+//! allocations made by the armed thread count, so libtest's own threads
+//! cannot leak into the armed window; the rounds run on a one-thread
+//! pool, so every stage runs on that thread too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use std::sync::Arc;
 
@@ -22,17 +23,36 @@ use goldfish::serve::transport::LoopbackTransport;
 use goldfish::telemetry::clock::Clock;
 use goldfish::telemetry::events::Trace;
 
-/// Counts allocations (and growth reallocations) while armed.
+/// Counts allocations (and growth reallocations) made by an armed thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Whether this thread's allocations are counted, and how many it
+    /// made while armed. Const-initialised with no destructor, so
+    /// touching them never allocates.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_if_armed() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+    }
+}
+
+/// Runs `f` with the calling thread armed and returns how many
+/// allocations it made.
+fn allocations_in(f: impl FnOnce()) -> usize {
+    ALLOCS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
+    f();
+    ARMED.with(|a| a.set(false));
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         System.alloc(layout)
     }
 
@@ -41,9 +61,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -104,15 +122,13 @@ fn steady_state_loopback_round_is_allocation_free() {
     }
 
     // Armed: whole rounds must not touch the allocator.
-    pool::install(Some(1), || {
-        ALLOCS.store(0, Ordering::SeqCst);
-        ARMED.store(true, Ordering::SeqCst);
-        for r in 2..6 {
-            c.train_round_hot(r, round_seed(7, r)).unwrap();
-        }
-        ARMED.store(false, Ordering::SeqCst);
+    let n = pool::install(Some(1), || {
+        allocations_in(|| {
+            for r in 2..6 {
+                c.train_round_hot(r, round_seed(7, r)).unwrap();
+            }
+        })
     });
-    let n = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         n, 0,
         "steady-state loopback rounds performed {n} allocations"
@@ -152,16 +168,14 @@ fn steady_state_loopback_round_is_allocation_free() {
     for r in 0..2 {
         instrumented.train_round_hot(r, round_seed(7, r)).unwrap();
     }
-    pool::install(Some(1), || {
-        ALLOCS.store(0, Ordering::SeqCst);
-        ARMED.store(true, Ordering::SeqCst);
-        for r in 2..6 {
-            clock.advance(1_000_000); // 1ms per round: nonzero spans
-            instrumented.train_round_hot(r, round_seed(7, r)).unwrap();
-        }
-        ARMED.store(false, Ordering::SeqCst);
+    let n = pool::install(Some(1), || {
+        allocations_in(|| {
+            for r in 2..6 {
+                clock.advance(1_000_000); // 1ms per round: nonzero spans
+                instrumented.train_round_hot(r, round_seed(7, r)).unwrap();
+            }
+        })
     });
-    let n = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         n, 0,
         "telemetry-instrumented rounds performed {n} allocations"
