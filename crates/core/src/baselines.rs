@@ -15,7 +15,7 @@
 use goldfish_data::BatchGather;
 use goldfish_fed::aggregate::{AggregationStrategy, ClientUpdate, FedAvg};
 use goldfish_fed::trainer::train_local_ce;
-use goldfish_fed::{eval, ModelFactory};
+use goldfish_fed::{eval, netpool, ModelFactory};
 use goldfish_nn::loss::{distillation_loss_into, CrossEntropy, HardLoss};
 use goldfish_nn::optim::FusedSgd;
 use goldfish_nn::Network;
@@ -23,13 +23,12 @@ use goldfish_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::basic_model::{network_from_state, reinit_seed};
+use crate::basic_model::reinit_seed;
 use crate::method::{parallel_clients, UnlearnOutcome, UnlearnSetup, UnlearningMethod};
 
 /// Evaluates the test accuracy of a global state vector.
 fn global_accuracy(factory: &ModelFactory, state: &[f32], test: &goldfish_data::Dataset) -> f64 {
-    let mut net = network_from_state(factory, state, 0);
-    eval::accuracy(&mut net, test)
+    netpool::with(factory, state, |net| eval::accuracy(net, test))
 }
 
 /// **B1** — retraining from scratch on the remaining data only.
@@ -49,16 +48,18 @@ impl UnlearningMethod for RetrainFromScratch {
                 let client_seed = seed
                     .wrapping_add((id as u64) << 32)
                     .wrapping_add(round as u64);
-                let mut net = network_from_state(&setup.factory, &global, client_seed);
+                let mut net = netpool::take(&setup.factory, &global);
                 train_local_ce(
                     &mut net,
                     &setup.clients[id].remaining,
                     &setup.train,
                     client_seed,
                 );
+                let state = net.state_vector();
+                netpool::give(&setup.factory, net);
                 ClientUpdate {
                     client_id: id,
-                    state: net.state_vector(),
+                    state,
                     num_samples: setup.clients[id].remaining.len(),
                     server_mse: None,
                 }
@@ -202,11 +203,13 @@ impl UnlearningMethod for RapidRetrain {
                     .wrapping_add((id as u64) << 32)
                     .wrapping_add(round as u64)
                     ^ 0xB2;
-                let mut net = network_from_state(&setup.factory, &global, client_seed);
+                let mut net = netpool::take(&setup.factory, &global);
                 self.train_client(&mut net, &setup.clients[id].remaining, setup, client_seed);
+                let state = net.state_vector();
+                netpool::give(&setup.factory, net);
                 ClientUpdate {
                     client_id: id,
-                    state: net.state_vector(),
+                    state,
                     num_samples: setup.clients[id].remaining.len(),
                     server_mse: None,
                 }
@@ -255,9 +258,8 @@ impl UnlearningMethod for IncompetentTeacher {
                     .wrapping_add(round as u64)
                     ^ 0xB3;
                 let split = &setup.clients[id];
-                let mut student = network_from_state(&setup.factory, &global, client_seed);
-                let mut competent =
-                    network_from_state(&setup.factory, &setup.original_global, client_seed);
+                let mut student = netpool::take(&setup.factory, &global);
+                let mut competent = netpool::take(&setup.factory, &setup.original_global);
                 // The incompetent teacher is a fresh random network.
                 let mut incompetent = (setup.factory)(client_seed ^ 0x1C0DE);
                 self.train_client(
@@ -268,9 +270,13 @@ impl UnlearningMethod for IncompetentTeacher {
                     setup,
                     client_seed,
                 );
+                let state = student.state_vector();
+                for net in [student, competent, incompetent] {
+                    netpool::give(&setup.factory, net);
+                }
                 ClientUpdate {
                     client_id: id,
-                    state: student.state_vector(),
+                    state,
                     num_samples: split.remaining.len(),
                     server_mse: None,
                 }
@@ -383,30 +389,30 @@ pub fn state_loss(
     data: &goldfish_data::Dataset,
     hard: &dyn HardLoss,
 ) -> f32 {
-    let mut net = network_from_state(factory, state, 0);
     if data.is_empty() {
         return 0.0;
     }
-    let mut total = 0.0;
-    let mut batches = 0;
-    for (x, labels) in data.batches(256) {
-        let logits = net.forward(&x, false);
-        total += hard.loss(&logits, &labels);
-        batches += 1;
-    }
-    total / batches.max(1) as f32
+    netpool::with(factory, state, |net| {
+        let mut total = 0.0;
+        let mut batches = 0;
+        for (x, labels) in data.batches(256) {
+            total += hard.loss(net.forward_ws(&x, false), &labels);
+            batches += 1;
+        }
+        total / batches.max(1) as f32
+    })
 }
 
 /// Prediction-probability tensor of a state vector over a dataset —
 /// exposed for the divergence tables (VII–IX).
 pub fn state_probs(factory: &ModelFactory, state: &[f32], data: &goldfish_data::Dataset) -> Tensor {
-    let mut net = network_from_state(factory, state, 0);
-    eval::predict_probs(&mut net, data)
+    netpool::with(factory, state, |net| eval::predict_probs(net, data))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::basic_model::network_from_state;
     use crate::method::ClientSplit;
     use goldfish_data::backdoor::BackdoorSpec;
     use goldfish_data::synthetic::{self, SyntheticSpec};

@@ -221,6 +221,20 @@ impl TeacherCache {
     pub fn into_teacher(self) -> Option<Network> {
         self.teacher
     }
+
+    /// Hands the teacher back when no batch can need it: over `n`
+    /// cached rows at batch size `B`, only a short tail batch
+    /// (`n > B` and `n % B != 0`) falls back to a forward pass. Returns
+    /// `None`, keeping the teacher, when one can — or when the cache
+    /// holds no teacher.
+    pub fn release_teacher(&mut self) -> Option<Network> {
+        let (n, b) = (self.len(), self.rows_per_chunk);
+        if n > b && n % b != 0 {
+            None
+        } else {
+            self.teacher.take()
+        }
+    }
 }
 
 /// Runs the Goldfish distillation retraining for one client on the

@@ -4,7 +4,8 @@
 
 use goldfish_data::{partition, Dataset};
 use goldfish_fed::trainer::{train_local_ce, TrainConfig};
-use goldfish_fed::ModelFactory;
+use goldfish_fed::{netpool, ModelFactory};
+use goldfish_nn::Network;
 use serde::{Deserialize, Serialize};
 
 /// Early-termination monitor implementing Eq 7: local training stops once
@@ -243,7 +244,9 @@ impl std::fmt::Debug for ShardedClient {
 /// and the serve layer's shard-granular drain, so both paths are bitwise
 /// identical by construction. An all-zero checkpoint (the degenerate τ = 1
 /// case, where the Eq 9 sum over the *other* shards is empty) falls back to
-/// the factory's fresh initialisation instead of a zero saddle.
+/// the factory's fresh initialisation instead of a zero saddle. The
+/// retrain runs on a warm network from [`netpool`]; see
+/// [`retrain_shard_into`] for a caller-held one.
 pub fn retrain_shard(
     factory: &ModelFactory,
     cfg: &TrainConfig,
@@ -251,12 +254,30 @@ pub fn retrain_shard(
     survived: &Dataset,
     seed: u64,
 ) -> Vec<f32> {
-    let mut net = (factory)(seed);
+    netpool::with(factory, checkpoint, |net| {
+        retrain_shard_into(net, factory, cfg, checkpoint, survived, seed);
+        net.state_vector()
+    })
+}
+
+/// [`retrain_shard`] on a network the caller holds (any network built by
+/// `factory`; its previous state does not matter): installs the
+/// checkpoint — or, when it is all zero, replaces the network with
+/// `factory(seed)` — and trains. Bitwise identical to [`retrain_shard`].
+pub fn retrain_shard_into(
+    net: &mut Network,
+    factory: &ModelFactory,
+    cfg: &TrainConfig,
+    checkpoint: &[f32],
+    survived: &Dataset,
+    seed: u64,
+) {
     if checkpoint.iter().any(|&v| v != 0.0) {
         net.set_state_vector(checkpoint);
+    } else {
+        *net = (factory)(seed);
     }
-    train_local_ce(&mut net, survived, cfg, seed);
-    net.state_vector()
+    train_local_ce(net, survived, cfg, seed);
 }
 
 /// Which shards a deletion touched, and how.
@@ -334,10 +355,10 @@ impl ShardedClient {
         let mut new_states: Vec<Option<Vec<f32>>> = vec![None; shards.len()];
         goldfish_fed::pool::for_each_slot(&mut new_states, |i, slot| {
             let shard_seed = seed.wrapping_add((i as u64) << 24);
-            let mut net = (factory)(shard_seed);
-            net.set_state_vector(&base);
+            let mut net = netpool::take(factory, &base);
             train_local_ce(&mut net, &shards[i], cfg, shard_seed);
             *slot = Some(net.state_vector());
+            netpool::give(factory, net);
         });
         for (i, state) in new_states.into_iter().enumerate() {
             let s = state.expect("missing shard state");

@@ -4,11 +4,11 @@
 //! Algorithm 1: [`DistillTransport`] is the server-side contract ("ship
 //! the unlearning job, then run distillation rounds"), [`ClientDistiller`]
 //! is the per-client worker state machine factored out of the pre-refactor
-//! [`crate::unlearner::GoldfishUnlearning::unlearn`] round loop (student
-//! network with warm arenas + cross-round teacher-logit cache, DESIGN.md
-//! §9), and [`LoopbackDistill`] runs the distillers in-process on the
-//! shared pool — exactly the execution the old loop performed, pinned
-//! bitwise by `tests/unlearn_identity.rs`.
+//! [`crate::unlearner::GoldfishUnlearning::unlearn`] round loop (pooled
+//! student and teacher networks + cross-round teacher-logit cache,
+//! DESIGN.md §9), and [`LoopbackDistill`] runs the distillers in-process
+//! on the shared pool — exactly the execution the old loop performed,
+//! pinned bitwise by `tests/unlearn_identity.rs`.
 //!
 //! The networked implementation (`goldfish-serve`) runs one
 //! [`ClientDistiller`] inside each remote worker daemon, which is what
@@ -20,13 +20,10 @@ use std::sync::Arc;
 
 use goldfish_fed::aggregate::ClientUpdate;
 use goldfish_fed::transport::{client_seed, TransportError};
-use goldfish_fed::ModelFactory;
+use goldfish_fed::{netpool, ModelFactory};
 use goldfish_nn::loss::{HardLoss, HardLossSpec};
-use goldfish_nn::Network;
 
-use crate::basic_model::{
-    network_from_state, reference_loss, train_distill_cached, GoldfishLocalConfig, TeacherCache,
-};
+use crate::basic_model::{reference_loss, train_distill_cached, GoldfishLocalConfig, TeacherCache};
 use crate::loss::GoldfishLoss;
 use crate::method::ClientSplit;
 
@@ -74,10 +71,18 @@ pub trait DistillTransport {
 }
 
 /// One client's worker state across the rounds of an unlearning request:
-/// the student network (arenas stay warm; parameters are overwritten from
-/// the incoming global every round) and the teacher-logit cache (the
-/// teacher is the frozen pre-deletion global, so its logits over the
-/// client's remaining data are materialised once per request).
+/// the teacher-logit cache (the teacher is the frozen pre-deletion
+/// global, so its logits over the client's remaining data are
+/// materialised once per request) and, under early termination, the
+/// teacher's Eq 7 reference loss (frozen too, so also computed once).
+///
+/// The networks themselves are borrowed from the thread's warm-network
+/// pool ([`goldfish_fed::netpool`]) for the duration of a round and
+/// handed back: the student every round, the teacher as soon as the
+/// cache is built — unless a short tail batch will need it for a
+/// fallback forward ([`TeacherCache::release_teacher`]). Each network
+/// is installed from a full state vector, so the bits are those of a
+/// freshly built `factory(seed)` network.
 pub struct ClientDistiller {
     id: usize,
     factory: ModelFactory,
@@ -85,8 +90,8 @@ pub struct ClientDistiller {
     teacher_state: Vec<f32>,
     local: GoldfishLocalConfig,
     loss: GoldfishLoss,
-    student: Option<Network>,
     cache: Option<TeacherCache>,
+    teacher_ref: Option<f32>,
 }
 
 impl ClientDistiller {
@@ -107,8 +112,8 @@ impl ClientDistiller {
             teacher_state,
             local,
             loss,
-            student: None,
             cache: None,
+            teacher_ref: None,
         }
     }
 
@@ -128,13 +133,17 @@ impl ClientDistiller {
     /// server evaluates uploads itself).
     pub fn round(&mut self, incoming: &[f32], round: usize, base_seed: u64) -> ClientUpdate {
         let seed = client_seed(base_seed, self.id, round);
+        let factory = &self.factory;
         let split = &self.split;
-        let student = self.student.get_or_insert_with(|| (self.factory)(seed));
-        student.set_state_vector(incoming);
         let cache = self.cache.get_or_insert_with(|| {
             if self.local.weights.mu_d > 0.0 {
-                let teacher = network_from_state(&self.factory, &self.teacher_state, seed);
-                TeacherCache::build(teacher, &split.remaining, self.local.batch_size)
+                let teacher = netpool::take(factory, &self.teacher_state);
+                let mut cache =
+                    TeacherCache::build(teacher, &split.remaining, self.local.batch_size);
+                if let Some(teacher) = cache.release_teacher() {
+                    netpool::give(factory, teacher);
+                }
+                cache
             } else {
                 TeacherCache::empty()
             }
@@ -143,25 +152,25 @@ impl ClientDistiller {
         // Eq 7 reference: the empirical risk of the previous global
         // model. On the first unlearning round the incoming global is
         // freshly reinitialised (uninformative), so the teacher (the
-        // pre-deletion global) provides the floor.
+        // pre-deletion global) provides the floor. The teacher's side
+        // never changes within a request.
         let reference = if self.local.early_termination.is_some() {
-            let mut teacher = network_from_state(&self.factory, &self.teacher_state, seed);
-            let teacher_ref =
-                reference_loss(&mut teacher, &split.remaining, &split.forget, &self.loss);
-            let mut incoming_net = network_from_state(&self.factory, incoming, seed);
-            let incoming_ref = reference_loss(
-                &mut incoming_net,
-                &split.remaining,
-                &split.forget,
-                &self.loss,
-            );
-            Some(teacher_ref.min(incoming_ref))
+            let reference_of = |state: &[f32]| {
+                netpool::with(factory, state, |net| {
+                    reference_loss(net, &split.remaining, &split.forget, &self.loss)
+                })
+            };
+            let teacher_ref = *self
+                .teacher_ref
+                .get_or_insert_with(|| reference_of(&self.teacher_state));
+            Some(teacher_ref.min(reference_of(incoming)))
         } else {
             None
         };
 
+        let mut student = netpool::take(factory, incoming);
         train_distill_cached(
-            student,
+            &mut student,
             cache,
             &split.remaining,
             &split.forget,
@@ -170,9 +179,11 @@ impl ClientDistiller {
             reference,
             seed,
         );
+        let state = student.state_vector();
+        netpool::give(factory, student);
         ClientUpdate {
             client_id: self.id,
-            state: student.state_vector(),
+            state,
             num_samples: split.remaining.len(),
             server_mse: None,
         }

@@ -13,12 +13,11 @@ use std::sync::Arc;
 
 use goldfish_data::Dataset;
 use goldfish_fed::aggregate::{AggregationStrategy, FedAvg};
-use goldfish_fed::eval;
 use goldfish_fed::transport::{collect_round, RoundDriver, TransportError};
-use goldfish_fed::ModelFactory;
+use goldfish_fed::{eval, netpool, pool, ModelFactory};
 use goldfish_nn::loss::{CrossEntropy, HardLoss};
 
-use crate::basic_model::{network_from_state, reinit_seed, GoldfishLocalConfig};
+use crate::basic_model::{reinit_seed, GoldfishLocalConfig};
 use crate::extension::AdaptiveWeightAggregation;
 use crate::loss::LossWeights;
 use crate::method::{UnlearnOutcome, UnlearnSetup, UnlearningMethod};
@@ -103,6 +102,9 @@ pub struct UnlearnServer<'a> {
     pub original_global: &'a [f32],
     /// Distillation rounds to run.
     pub rounds: usize,
+    /// Compute-pool override for server-side evaluation and
+    /// aggregation (`None` = the process default). Never changes a bit.
+    pub threads: Option<usize>,
 }
 
 impl UnlearningMethod for GoldfishUnlearning {
@@ -125,6 +127,7 @@ impl UnlearningMethod for GoldfishUnlearning {
             test: &setup.test,
             original_global: &setup.original_global,
             rounds: setup.rounds,
+            threads: None,
         };
         self.unlearn_over(&server, &mut transport, seed)
             .expect("loopback distillation never fails")
@@ -138,7 +141,10 @@ impl GoldfishUnlearning {
     /// updates (straggler drop + re-round, sorted by client id so
     /// aggregation is arrival-order independent), evaluate uploads
     /// server-side when the adaptive-weight rule needs Eq 12's MSE, and
-    /// aggregate.
+    /// aggregate. Evaluation and aggregation run on a compute pool of
+    /// `server.threads` threads; the reinitialised `ω0` is the one
+    /// network built by the factory, every evaluation borrows a warm
+    /// network from [`netpool`].
     ///
     /// # Errors
     ///
@@ -172,15 +178,16 @@ impl GoldfishUnlearning {
                 RoundDriver {
                     factory: server.factory,
                     test: server.test,
-                    threads: None,
+                    threads: server.threads,
                     eval_mse: true,
                     eval_clients: false,
                 }
                 .fill_server_mse(&mut updates);
             }
-            global = strategy.aggregate(&updates);
-            let mut net = network_from_state(server.factory, &global, 0);
-            round_accuracies.push(eval::accuracy(&mut net, server.test));
+            global = pool::install(server.threads, || strategy.aggregate(&updates));
+            round_accuracies.push(netpool::with(server.factory, &global, |net| {
+                eval::accuracy(net, server.test)
+            }));
         }
         Ok(UnlearnOutcome {
             method: "goldfish".into(),
@@ -193,6 +200,7 @@ impl GoldfishUnlearning {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::basic_model::network_from_state;
     use crate::method::ClientSplit;
     use goldfish_data::backdoor::BackdoorSpec;
     use goldfish_data::synthetic::{self, SyntheticSpec};
@@ -369,6 +377,80 @@ mod tests {
             "accuracy {}",
             out.final_accuracy()
         );
+    }
+
+    #[test]
+    fn early_termination_unlearn_matches_per_round_rebuild() {
+        // Before the warm-network pool, every distillation round rebuilt
+        // the student, the teacher and the incoming global with the
+        // factory and recomputed the frozen teacher's Eq 7 reference.
+        // Replay that loop and pin the pooled path (teacher reference
+        // computed once per request) bitwise over three rounds. Client 0
+        // keeps 126 rows at batch 25 (a short tail batch, so its cache
+        // keeps the teacher), client 1 has 150 (no tail).
+        use crate::basic_model::{reference_loss, train_distill_cached, TeacherCache};
+        use crate::loss::GoldfishLoss;
+        use goldfish_fed::aggregate::ClientUpdate;
+        use goldfish_fed::transport::client_seed;
+
+        let (setup, _) = setup_fixture(3);
+        let local = GoldfishLocalConfig {
+            epochs: 12,
+            batch_size: 25,
+            lr: 0.05,
+            momentum: 0.9,
+            early_termination: Some(0.5),
+            ..GoldfishLocalConfig::default()
+        };
+        let seed = 4;
+        let got = GoldfishUnlearning::default()
+            .with_local(local)
+            .unlearn(&setup, seed);
+
+        let loss = GoldfishLoss::new(Arc::new(CrossEntropy), local.weights);
+        let fresh = |state: &[f32], s: u64| network_from_state(&setup.factory, state, s);
+        let mut global = (setup.factory)(reinit_seed(seed)).state_vector();
+        let mut terminated = 0;
+        for round in 0..setup.rounds {
+            let mut updates = Vec::new();
+            for (id, split) in setup.clients.iter().enumerate() {
+                let s = client_seed(seed, id, round);
+                let (remaining, forget) = (&split.remaining, &split.forget);
+                let mut student = fresh(&global, s);
+                let teacher = fresh(&setup.original_global, s);
+                let mut cache = TeacherCache::build(teacher, remaining, local.batch_size);
+                let teacher_ref = reference_loss(
+                    &mut fresh(&setup.original_global, s),
+                    remaining,
+                    forget,
+                    &loss,
+                );
+                let incoming_ref = reference_loss(&mut fresh(&global, s), remaining, forget, &loss);
+                let stats = train_distill_cached(
+                    &mut student,
+                    &mut cache,
+                    remaining,
+                    forget,
+                    &loss,
+                    &local,
+                    Some(teacher_ref.min(incoming_ref)),
+                    s,
+                );
+                terminated += usize::from(stats.early_terminated);
+                let state = student.state_vector();
+                let mse = eval::mse(&mut fresh(&state, 0), &setup.test);
+                updates.push(ClientUpdate {
+                    client_id: id,
+                    state,
+                    num_samples: remaining.len(),
+                    server_mse: Some(mse),
+                });
+            }
+            global = AdaptiveWeightAggregation.aggregate(&updates);
+        }
+        assert!(terminated > 0, "no client round terminated early");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.global_state), bits(&global));
     }
 
     #[test]

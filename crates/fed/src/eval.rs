@@ -15,13 +15,16 @@ use goldfish_tensor::{ops, Tensor};
 const EVAL_BATCH: usize = 256;
 
 /// Runs the network over the dataset in eval mode and returns the
-/// `[n, classes]` softmax probability tensor.
+/// `[n, classes]` softmax probability tensor. The forwards run through
+/// the network's persistent workspace ([`Network::forward_ws`]; same
+/// logits as [`Network::forward`]), so a warm network evaluates without
+/// rebuilding its activation buffers.
 pub fn predict_probs(net: &mut Network, data: &Dataset) -> Tensor {
     let mut rows: Vec<f32> = Vec::with_capacity(data.len() * data.classes());
     let mut cols = data.classes();
     for (x, _) in data.batches(EVAL_BATCH) {
-        let logits = net.forward(&x, false);
-        let probs = ops::softmax(&logits);
+        let logits = net.forward_ws(&x, false);
+        let probs = ops::softmax(logits);
         cols = probs.dims2().1;
         rows.extend_from_slice(probs.as_slice());
     }
@@ -32,8 +35,7 @@ pub fn predict_probs(net: &mut Network, data: &Dataset) -> Tensor {
 pub fn predict_classes(net: &mut Network, data: &Dataset) -> Vec<usize> {
     let mut preds = Vec::with_capacity(data.len());
     for (x, _) in data.batches(EVAL_BATCH) {
-        let logits = net.forward(&x, false);
-        preds.extend(ops::argmax_rows(&logits));
+        preds.extend(ops::argmax_rows(net.forward_ws(&x, false)));
     }
     preds
 }

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use crate::aggregate::{AggregationStrategy, ClientUpdate};
 use crate::trainer::TrainConfig;
 use crate::transport::{LoopbackClients, RoundDriver, RoundTransport, StateLenError, TrainAssign};
-use crate::{eval, ModelFactory};
+use crate::{eval, netpool, ModelFactory};
 
 /// A federated-learning simulation: one server, `n` clients holding local
 /// datasets, and a shared model architecture.
@@ -110,8 +110,9 @@ impl Federation {
 
     /// Test accuracy of the current global model.
     pub fn global_accuracy(&self) -> f64 {
-        let mut net = self.global_network();
-        eval::accuracy(&mut net, &self.test)
+        netpool::with(&self.factory, &self.global, |net| {
+            eval::accuracy(net, &self.test)
+        })
     }
 
     /// The local training configuration.

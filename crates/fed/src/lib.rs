@@ -18,7 +18,10 @@
 //!   (`goldfish-serve` adds the TCP implementation),
 //! * [`pool`] — the shared rayon compute pool with a configurable thread
 //!   count; every parallel federated step (client training, evaluation,
-//!   chunked aggregation) runs on it.
+//!   chunked aggregation) runs on it,
+//! * [`netpool`] — the per-thread pool of warm networks that replaces
+//!   "build with the factory, then overwrite every parameter" wherever a
+//!   network only carries a given state.
 //!
 //! The Goldfish unlearning procedures themselves live in `goldfish-core`;
 //! they compose these building blocks per Algorithm 1 of the paper.
@@ -52,6 +55,7 @@
 pub mod aggregate;
 pub mod eval;
 pub mod federation;
+pub mod netpool;
 pub mod pool;
 pub mod sampling;
 pub mod trainer;

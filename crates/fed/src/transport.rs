@@ -26,7 +26,6 @@
 //! argument.
 
 use goldfish_data::Dataset;
-use goldfish_nn::Network;
 use goldfish_telemetry::clock::Clock;
 use goldfish_telemetry::events::{EventKind, Trace};
 use goldfish_telemetry::registry::{Counter, Gauge, Histogram, Registry};
@@ -38,7 +37,7 @@ use crate::aggregate::{
     ClientUpdate, RoundAccumulator,
 };
 use crate::trainer::{train_local_ce, TrainConfig};
-use crate::{eval, pool, ModelFactory};
+use crate::{eval, netpool, pool, ModelFactory};
 
 /// Derives the seed of client `id` in round `round` from the round-loop
 /// base seed. Every transport (in-process or remote) must use this exact
@@ -464,8 +463,7 @@ impl RoundTransport for LoopbackClients<'_> {
         pool::install(self.threads, || {
             pool::for_each_slot(&mut updates, |id, slot| {
                 let seed = client_seed(assign.seed, id, assign.round);
-                let mut net = (factory)(seed);
-                net.set_state_vector(assign.global);
+                let mut net = netpool::take(factory, assign.global);
                 train_local_ce(&mut net, &clients[id], assign.cfg, seed);
                 *slot = Some(ClientUpdate {
                     client_id: id,
@@ -473,6 +471,7 @@ impl RoundTransport for LoopbackClients<'_> {
                     num_samples: clients[id].len(),
                     server_mse: None,
                 });
+                netpool::give(factory, net);
             });
         });
         updates
@@ -588,9 +587,8 @@ impl RoundDriver<'_> {
             Vec::new()
         };
         let global = pool::install(self.threads, || strategy.aggregate(&updates));
-        let mut net = (self.factory)(0);
-        net.set_state_vector(&global);
-        let global_accuracy = eval::accuracy(&mut net, self.test);
+        let global_accuracy =
+            netpool::with(self.factory, &global, |net| eval::accuracy(net, self.test));
         Ok(DrivenRound {
             global,
             global_accuracy,
@@ -607,8 +605,7 @@ impl RoundDriver<'_> {
         let test = self.test;
         pool::install(self.threads, || {
             pool::for_each_slot(updates, |_, u| {
-                let mut net = materialize(factory, &u.state);
-                u.server_mse = Some(eval::mse(&mut net, test));
+                u.server_mse = Some(netpool::with(factory, &u.state, |net| eval::mse(net, test)));
             });
         });
     }
@@ -620,19 +617,11 @@ impl RoundDriver<'_> {
         let mut accs = vec![0.0f64; updates.len()];
         pool::install(self.threads, || {
             pool::for_each_slot(&mut accs, |i, slot| {
-                let mut net = materialize(factory, &updates[i].state);
-                *slot = eval::accuracy(&mut net, test);
+                *slot = netpool::with(factory, &updates[i].state, |net| eval::accuracy(net, test));
             });
         });
         accs
     }
-}
-
-/// Builds a network carrying `state`.
-fn materialize(factory: &ModelFactory, state: &[f32]) -> Network {
-    let mut net = (factory)(0);
-    net.set_state_vector(state);
-    net
 }
 
 /// The round loop's robustness policy (DESIGN.md §13): which fold to

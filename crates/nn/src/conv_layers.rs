@@ -21,8 +21,8 @@ pub struct Conv2d {
     bias: Param,
     spec: Conv2dSpec,
     ws: ConvWorkspace,
-    /// Cached input of the latest forward pass (persistent buffer;
-    /// unready until the first forward).
+    /// Cached input of the latest training forward pass (persistent
+    /// buffer; unready until one, and after any inference forward).
     input: Tensor,
     have_input: bool,
     /// Staging buffers for `∂L/∂W` / `∂L/∂b` before accumulation.
@@ -93,7 +93,7 @@ impl Layer for Conv2d {
         out
     }
 
-    fn forward_into(&mut self, x: &Tensor, _train: bool, out: &mut Tensor) {
+    fn forward_into(&mut self, x: &Tensor, train: bool, out: &mut Tensor) {
         conv::conv2d_forward_into(
             x,
             &self.weight.value,
@@ -103,9 +103,12 @@ impl Layer for Conv2d {
             out,
         );
         // Backward re-lowers the input block-wise (cheaper than caching a
-        // whole-batch column matrix), so keep the input itself.
-        self.input.assign(x);
-        self.have_input = true;
+        // whole-batch column matrix), so a training forward keeps the
+        // input itself; an inference forward leaves the layer unready.
+        if train {
+            self.input.assign(x);
+        }
+        self.have_input = train;
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -151,8 +154,9 @@ impl Layer for Conv2d {
 #[derive(Debug)]
 pub struct MaxPool2d {
     spec: Conv2dSpec,
-    /// Argmax routing of the latest forward pass (persistent buffer;
-    /// unready until the first forward) and the input geometry.
+    /// Argmax routing of the latest training forward pass (persistent
+    /// buffer; unready until one, and after any inference forward) and
+    /// the input geometry.
     idx: Vec<usize>,
     input_shape: (usize, usize, usize, usize),
     ready: bool,
@@ -181,10 +185,14 @@ impl Layer for MaxPool2d {
         out
     }
 
-    fn forward_into(&mut self, x: &Tensor, _train: bool, out: &mut Tensor) {
+    fn forward_into(&mut self, x: &Tensor, train: bool, out: &mut Tensor) {
         self.input_shape = x.dims4();
-        conv::maxpool2d_forward_into(x, &self.spec, out, &mut self.idx);
-        self.ready = true;
+        if train {
+            conv::maxpool2d_forward_into(x, &self.spec, out, &mut self.idx);
+        } else {
+            conv::maxpool2d_forward_eval_into(x, &self.spec, out);
+        }
+        self.ready = train;
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

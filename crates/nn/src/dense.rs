@@ -17,8 +17,9 @@ use crate::layer::{Layer, Param};
 pub struct Dense {
     weight: Param,
     bias: Param,
-    /// Cached `[n, in]` input of the latest forward pass (persistent
-    /// buffer; unready until the first forward).
+    /// Cached `[n, in]` input of the latest training forward pass
+    /// (persistent buffer; unready until one, and after any inference
+    /// forward).
     input: Tensor,
     have_input: bool,
     /// Staging buffer for `∂L/∂W` before accumulation into the grad.
@@ -104,7 +105,7 @@ impl Layer for Dense {
         out
     }
 
-    fn forward_into(&mut self, x: &Tensor, _train: bool, out: &mut Tensor) {
+    fn forward_into(&mut self, x: &Tensor, train: bool, out: &mut Tensor) {
         let (n, d) = x.dims2();
         assert_eq!(
             d,
@@ -112,10 +113,14 @@ impl Layer for Dense {
             "dense expected {} features, got {d}",
             self.in_features()
         );
-        // Cache the input as its [n, d] matrix view for the backward pass.
-        self.input.resize(&[n, d]);
-        self.input.as_mut_slice().copy_from_slice(x.as_slice());
-        self.have_input = true;
+        // A training forward caches the input as its [n, d] matrix view
+        // for the backward pass; an inference forward leaves the layer
+        // unready instead.
+        if train {
+            self.input.resize(&[n, d]);
+            self.input.as_mut_slice().copy_from_slice(x.as_slice());
+        }
+        self.have_input = train;
         // y = x · Wᵀ, then add the bias row-wise.
         let o = self.out_features();
         out.resize(&[n, o]);

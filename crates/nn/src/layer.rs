@@ -45,8 +45,11 @@ impl Param {
 
 /// A neural-network layer with explicit forward and backward passes.
 ///
-/// Layers cache whatever the backward pass needs during `forward`; calling
-/// [`Layer::backward`] before `forward` is a programmer error and panics.
+/// Layers cache whatever the backward pass needs during a training-mode
+/// `forward` (`train == true`); calling [`Layer::backward`] before one is
+/// a programmer error and panics. An inference forward may skip those
+/// caches (the in-tree ReLU, max-pool, conv and dense layers do), and a
+/// backward after it panics the same way.
 /// The trait is dyn-compatible so models are plain `Vec<Box<dyn Layer>>`.
 ///
 /// # The allocation-free runtime
@@ -146,8 +149,8 @@ pub trait Layer: Send {
 /// Rectified linear unit.
 #[derive(Debug, Default)]
 pub struct Relu {
-    /// Activation mask of the latest forward pass (persistent buffer;
-    /// empty-and-unready until the first forward).
+    /// Activation mask of the latest training forward pass (persistent
+    /// buffer; unready until one, and after any inference forward).
     mask: Vec<bool>,
     ready: bool,
 }
@@ -166,11 +169,15 @@ impl Layer for Relu {
         out
     }
 
-    fn forward_into(&mut self, x: &Tensor, _train: bool, out: &mut Tensor) {
+    fn forward_into(&mut self, x: &Tensor, train: bool, out: &mut Tensor) {
         let xv = x.as_slice();
-        self.mask.clear();
-        self.mask.extend(xv.iter().map(|&v| v > 0.0));
-        self.ready = true;
+        // Only a training backward reads the mask; an inference forward
+        // leaves the layer unready instead of building one.
+        if train {
+            self.mask.clear();
+            self.mask.extend(xv.iter().map(|&v| v > 0.0));
+        }
+        self.ready = train;
         out.resize(x.shape());
         for (o, &v) in out.as_mut_slice().iter_mut().zip(xv) {
             *o = v.max(0.0);

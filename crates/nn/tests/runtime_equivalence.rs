@@ -214,3 +214,67 @@ fn mixed_paths_share_caches() {
     let mut net = Network::new(seq);
     assert!(net.forward(&x, false).all_finite());
 }
+
+/// Inference forwards skip every buffer only a backward pass reads
+/// (ReLU masks, max-pool routing, cached inputs); the logits must not
+/// move a bit. Checked on the MLP and LeNet-5 at several batch sizes,
+/// with the eval forward both before and after a training forward.
+#[test]
+fn eval_logits_match_training_logits_bitwise() {
+    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut mlp = zoo::mlp(20, &[16, 12], 5, &mut rng);
+    let mut lenet = zoo::lenet5(1, 20, 20, 10, &mut rng);
+    for (net, sample) in [(&mut mlp, vec![20]), (&mut lenet, vec![1, 20, 20])] {
+        for n in [1usize, 7, 20, 33] {
+            let mut shape = vec![n];
+            shape.extend_from_slice(&sample);
+            let x = init::normal(&mut rng, shape, 0.0, 1.0);
+            let eval_first = bits(net.forward_ws(&x, false));
+            let train = bits(net.forward_ws(&x, true));
+            let eval_after = bits(net.forward_ws(&x, false));
+            let eval_alloc = bits(&net.forward(&x, false));
+            assert_eq!(eval_first, train, "batch {n}");
+            assert_eq!(eval_after, train, "batch {n}");
+            assert_eq!(eval_alloc, train, "batch {n}");
+        }
+    }
+}
+
+/// After an inference forward the layers that skipped their backward
+/// state report not-ready: a backward panics with the same "before
+/// forward" message as one that never saw a forward — even when an
+/// earlier training forward had left a cache behind.
+#[test]
+fn backward_after_inference_forward_panics() {
+    use goldfish_nn::{Conv2d, Dense, MaxPool2d};
+    let mut rng = StdRng::seed_from_u64(12);
+    let x4 = init::normal(&mut rng, vec![2, 2, 6, 6], 0.0, 1.0);
+    let x2 = init::normal(&mut rng, vec![2, 6], 0.0, 1.0);
+    let layers: Vec<(Box<dyn Layer>, &Tensor)> = vec![
+        (Box::new(Relu::new()), &x2),
+        (Box::new(MaxPool2d::new(2, 2)), &x4),
+        (Box::new(Conv2d::new(2, 3, 3, 1, 1, &mut rng)), &x4),
+        (Box::new(Dense::new(6, 4, &mut rng)), &x2),
+    ];
+    for (mut layer, x) in layers {
+        let name = layer.name();
+        let y = layer.forward(x, true);
+        let g = Tensor::filled(y.shape().to_vec(), 1.0);
+        let _ = layer.backward(&g);
+        let _ = layer.forward(x, false);
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| layer.backward(&g)));
+        let err = out.expect_err(name);
+        let msg = err
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| err.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(msg.contains("before forward"), "{name}: {msg}");
+        // Params-only backward is guarded the same way.
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            layer.backward_params_only(&g)
+        }));
+        assert!(out.is_err(), "{name} params-only backward");
+    }
+}

@@ -573,9 +573,9 @@ impl<T: ServeTransport> Coordinator<T> {
 
     /// Test accuracy of the current global model.
     pub fn global_accuracy(&self) -> f64 {
-        let mut net = (self.factory)(0);
-        net.set_state_vector(&self.global);
-        goldfish_fed::eval::accuracy(&mut net, &self.test)
+        goldfish_fed::netpool::with(&self.factory, &self.global, |net| {
+            goldfish_fed::eval::accuracy(net, &self.test)
+        })
     }
 
     /// The pending-request queue (for inspection).
@@ -936,6 +936,7 @@ impl<T: ServeTransport> Coordinator<T> {
             test: &self.test,
             original_global: &teacher,
             rounds: self.cfg.unlearn_rounds,
+            threads: self.cfg.threads,
         };
         let outcome = self
             .cfg
@@ -1326,6 +1327,10 @@ mod tests {
     use goldfish_core::basic_model::GoldfishLocalConfig;
 
     fn coordinator(spec: &DemoSpec) -> Coordinator<LoopbackTransport> {
+        coordinator_with_threads(spec, 2)
+    }
+
+    fn coordinator_with_threads(spec: &DemoSpec, threads: usize) -> Coordinator<LoopbackTransport> {
         let transport = LoopbackTransport::new(spec.factory(), spec.client_shards(), Some(2));
         let cfg = CoordinatorConfig {
             train: spec.train_config(),
@@ -1338,10 +1343,36 @@ mod tests {
             }),
             unlearn_rounds: 1,
             init_seed: 1,
-            threads: Some(2),
+            threads: Some(threads),
             ..CoordinatorConfig::default()
         };
         Coordinator::new(spec.factory(), spec.test_set(), transport, cfg)
+    }
+
+    #[test]
+    fn drain_digest_is_identical_at_threads_1_and_2() {
+        // `threads` pins the pool of a drain's server-side evaluation
+        // and aggregation too; like every pool size it moves no bit.
+        let spec = DemoSpec {
+            clients: 3,
+            samples_per_client: 40,
+            test_samples: 30,
+            seed: 5,
+        };
+        let digests: Vec<_> = [1, 2]
+            .into_iter()
+            .map(|threads| {
+                let mut c = coordinator_with_threads(&spec, threads);
+                c.cfg.unlearn_rounds = 2;
+                c.train_round(0, 3).unwrap();
+                c.submit_unlearn(UnlearnRequest::new(1, vec![0, 5, 9]))
+                    .unwrap();
+                let summary = c.drain_unlearning(11).unwrap().unwrap();
+                assert_eq!(summary.round_accuracies.len(), 2);
+                (c.global_digest(), summary.round_accuracies)
+            })
+            .collect();
+        assert_eq!(digests[0], digests[1]);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use goldfish_fed::transport::{
     client_seed, LoopbackClients, RoundTransport, StreamedUpdate, TrainAssign, TransportError,
     UpdateSink,
 };
-use goldfish_fed::{eval, pool, ModelFactory};
+use goldfish_fed::{eval, netpool, pool, ModelFactory};
 use goldfish_nn::loss::CrossEntropy;
 use goldfish_nn::optim::FusedSgd;
 use goldfish_nn::Network;
@@ -169,6 +169,7 @@ pub trait ServeTransport: RoundTransport + DistillTransport {
 /// batch-gather buffers and optimizer velocity persist across rounds, so
 /// a steady-state training round performs **zero heap allocations** (the
 /// ISSUE-5 loopback hot path, pinned by `tests/alloc_free_round.rs`).
+/// Shard retrains of the client run on the same network.
 ///
 /// Reuse is bitwise safe: every round starts by installing the broadcast
 /// global via `set_state_vector`, which overwrites the *entire* state —
@@ -467,13 +468,11 @@ impl ServeTransport for LoopbackTransport {
         let mut evals: Vec<Option<LocalEval>> = (0..clients.len()).map(|_| None).collect();
         pool::install(self.threads, || {
             pool::for_each_slot(&mut evals, |id, slot| {
-                let mut net = (factory)(0);
-                net.set_state_vector(global);
-                *slot = Some(LocalEval {
+                *slot = Some(netpool::with(factory, global, |net| LocalEval {
                     client_id: id,
-                    accuracy: eval::accuracy(&mut net, &clients[id]),
-                    mse: eval::mse(&mut net, &clients[id]),
-                });
+                    accuracy: eval::accuracy(net, &clients[id]),
+                    mse: eval::mse(net, &clients[id]),
+                }));
             });
         });
         evals
@@ -512,13 +511,21 @@ impl ServeTransport for LoopbackTransport {
             });
         }
         let survived = data.subset(&assign.keep_rows);
-        Ok(goldfish_core::optimization::retrain_shard(
+        // The owner's persistent worker network runs the retrain, so an
+        // in-process drain builds no network and parks none.
+        while self.workers.len() < self.clients.len() {
+            self.workers.push(LoopbackWorker::new(&self.factory));
+        }
+        let net = &mut self.workers[assign.owner].net;
+        goldfish_core::optimization::retrain_shard_into(
+            net,
             &self.factory,
             &assign.cfg,
             &assign.checkpoint,
             &survived,
             assign.seed,
-        ))
+        );
+        Ok(net.state_vector())
     }
 }
 

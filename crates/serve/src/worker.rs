@@ -16,7 +16,9 @@
 //! training rounds and [`ClientDistiller::round`] for distillation
 //! rounds — the exact functions the in-process loopback transport runs,
 //! which is what makes a TCP federation bitwise identical to a loopback
-//! one.
+//! one. A worker holds no network between messages: each one borrows a
+//! warm network from its thread's [`goldfish_fed::netpool`], so a fleet
+//! host serving hundreds of workers on one thread shares a handful.
 
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -27,7 +29,7 @@ use goldfish_core::ClientSplit;
 use goldfish_data::Dataset;
 use goldfish_fed::trainer::train_local_ce;
 use goldfish_fed::transport::client_seed;
-use goldfish_fed::{eval, ModelFactory};
+use goldfish_fed::{eval, netpool, ModelFactory};
 
 use crate::digest::DIGEST_LEN;
 use crate::wire::{
@@ -136,9 +138,10 @@ impl WorkerRuntime {
                     return bad_state_len(global.len(), self.state_len);
                 }
                 let s = client_seed(seed, self.client_id, round as usize);
-                let mut net = (self.factory)(s);
-                net.set_state_vector(&global);
+                let mut net = netpool::take(&self.factory, &global);
                 train_local_ce(&mut net, &self.data, &cfg, s);
+                let state = net.state_vector();
+                netpool::give(&self.factory, net);
                 self.last_round = Some(round);
                 Msg::Update {
                     round,
@@ -148,7 +151,7 @@ impl WorkerRuntime {
                     // layer matches it against the assignment to reject
                     // stale/replayed frames.
                     nonce,
-                    state: net.state_vector(),
+                    state,
                 }
             }
             Msg::UnlearnAssign {
@@ -258,12 +261,13 @@ impl WorkerRuntime {
                 if global.len() != self.state_len {
                     return bad_state_len(global.len(), self.state_len);
                 }
-                let mut net = (self.factory)(0);
-                net.set_state_vector(&global);
+                let (accuracy, mse) = netpool::with(&self.factory, &global, |net| {
+                    (eval::accuracy(net, &self.data), eval::mse(net, &self.data))
+                });
                 Msg::Eval {
                     round,
-                    accuracy: eval::accuracy(&mut net, &self.data),
-                    mse: eval::mse(&mut net, &self.data),
+                    accuracy,
+                    mse,
                     global: Vec::new(),
                 }
             }

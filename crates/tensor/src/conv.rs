@@ -636,6 +636,43 @@ pub fn maxpool2d_forward_into(
     }
 }
 
+/// The inference form of [`maxpool2d_forward_into`]: the same scan in the
+/// same order with the same strict `>` (so bitwise the same outputs,
+/// ties, `-inf` and NaN included), minus the argmax routing table that
+/// only a backward pass reads. Its own loop, so the training kernel
+/// stays exactly as it was.
+///
+/// # Panics
+///
+/// Panics if the window does not fit.
+pub fn maxpool2d_forward_eval_into(input: &Tensor, spec: &Conv2dSpec, out: &mut Tensor) {
+    let (n, c, h, w) = input.dims4();
+    assert_eq!(spec.padding, 0, "maxpool does not support padding");
+    let (oh, ow) = spec.output_hw(h, w);
+    let iv = input.as_slice();
+    out.resize(&[n, c, oh, ow]);
+    let out = out.as_mut_slice();
+    for s in 0..n {
+        for ch in 0..c {
+            let base = (s * c + ch) * h * w;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    for ky in 0..spec.kh {
+                        for kx in 0..spec.kw {
+                            let i = base + (oy * spec.stride + ky) * w + ox * spec.stride + kx;
+                            if iv[i] > best {
+                                best = iv[i];
+                            }
+                        }
+                    }
+                    out[((s * c + ch) * oh + oy) * ow + ox] = best;
+                }
+            }
+        }
+    }
+}
+
 /// Backward max-pooling: routes each output gradient to the input element
 /// that won the forward max.
 pub fn maxpool2d_backward(
@@ -1078,6 +1115,51 @@ mod tests {
         assert_eq!(gin.at(13), 3.0);
         assert_eq!(gin.at(15), 4.0);
         assert_eq!(gin.sum(), 10.0);
+    }
+
+    #[test]
+    fn maxpool_eval_forward_matches_training_forward_bitwise() {
+        // Ties, signed zeros, -inf and NaN in every window position, over
+        // overlapping (stride 1) and tiling windows.
+        let specials = [
+            0.5,
+            0.5,
+            -0.0,
+            0.0,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            -3.25,
+            1e-30,
+        ];
+        for &(kernel, stride) in &[(2, 2), (3, 1), (2, 1), (3, 2)] {
+            for shift in 0..specials.len() {
+                let len = 2 * 3 * 7 * 6;
+                let v: Vec<f32> = (0..len)
+                    .map(|i| match (i * 7 + shift) % 13 {
+                        r if r < specials.len() => specials[r],
+                        r => r as f32 * 0.25 - 1.5,
+                    })
+                    .collect();
+                let input = Tensor::from_vec(vec![2, 3, 7, 6], v);
+                let spec = Conv2dSpec::new(kernel, kernel, stride, 0);
+                let (train, _) = maxpool2d_forward(&input, &spec);
+                let mut eval = Tensor::filled(vec![3], 9.0);
+                maxpool2d_forward_eval_into(&input, &spec, &mut eval);
+                assert_eq!(eval.shape(), train.shape());
+                assert_eq!(
+                    bits(eval.as_slice()),
+                    bits(train.as_slice()),
+                    "kernel {kernel} stride {stride} shift {shift}"
+                );
+            }
+        }
+        // An all-NaN window yields -inf on both paths.
+        let nan = Tensor::from_vec(vec![1, 1, 2, 2], vec![f32::NAN; 4]);
+        let mut eval = Tensor::zeros(vec![0]);
+        maxpool2d_forward_eval_into(&nan, &Conv2dSpec::new(2, 2, 2, 0), &mut eval);
+        assert_eq!(eval.as_slice(), &[f32::NEG_INFINITY]);
     }
 
     #[test]
