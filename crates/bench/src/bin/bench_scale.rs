@@ -12,7 +12,7 @@
 //!
 //! 1. **Identity gate** — drives several rounds through the pre-change
 //!    replica (fresh per-round client networks, buffered
-//!    collect→sort→`FedAvg` via the preserved `RoundDriver` path) and
+//!    collect→sort→`FedAvg`) and
 //!    through the new coordinator hot path, asserting the resulting
 //!    globals are bitwise identical.
 //! 2. Times the legacy round, the new hot round
@@ -42,11 +42,10 @@ use goldfish_data::synthetic::{self, SyntheticSpec};
 use goldfish_data::Dataset;
 use goldfish_fed::aggregate::AggregationMode;
 use goldfish_fed::aggregate::{ClientUpdate, FedAvg};
+use goldfish_fed::eval::ServerScorer;
 use goldfish_fed::sampling::{cohort_seed, sample_cohort_into};
 use goldfish_fed::trainer::{train_local_ce, TrainConfig};
-use goldfish_fed::transport::{
-    client_seed, collect_round, round_nonce, round_seed, LoopbackClients, RoundDriver, TrainAssign,
-};
+use goldfish_fed::transport::{client_seed, round_nonce, round_seed, LoopbackClients, TrainAssign};
 use goldfish_fed::ModelFactory;
 use goldfish_nn::zoo;
 use goldfish_serve::coordinator::{Coordinator, CoordinatorConfig};
@@ -166,15 +165,18 @@ fn legacy_round_hot(
         global,
         cfg,
     };
-    let updates = collect_round(|| {
+    let mut updates: Vec<ClientUpdate> =
         goldfish_fed::transport::RoundTransport::train_round(&mut transport, &assign)
-    })
-    .expect("loopback clients never fail");
+            .into_iter()
+            .map(|r| r.expect("loopback clients never fail"))
+            .collect();
+    updates.sort_by_key(|u| u.client_id);
     goldfish_fed::aggregate::AggregationStrategy::aggregate(&FedAvg, &updates)
 }
 
-/// The faithful full pre-change round (buffered driver including the
-/// per-round global-accuracy evaluation the old API always performed).
+/// The faithful full pre-change round: the buffered round plus the
+/// per-round global-accuracy evaluation the old API always performed
+/// (scored by the shared [`ServerScorer`]).
 fn legacy_round_full(
     factory: &ModelFactory,
     clients: &[goldfish_data::Dataset],
@@ -184,25 +186,14 @@ fn legacy_round_full(
     seed: u64,
     cfg: &TrainConfig,
 ) -> Vec<f32> {
-    let driver = RoundDriver {
+    let next = legacy_round_hot(factory, clients, global, round, seed, cfg);
+    let scorer = ServerScorer {
         factory,
         test,
         threads: None,
-        eval_mse: false,
-        eval_clients: false,
     };
-    let mut transport = LoopbackClients::new(factory, clients, None);
-    let assign = TrainAssign {
-        round,
-        seed,
-        nonce: round_nonce(seed, round),
-        global,
-        cfg,
-    };
-    driver
-        .run_round(&mut transport, &assign, &FedAvg)
-        .expect("loopback clients never fail")
-        .global
+    std::hint::black_box(scorer.accuracy(&[&next]));
+    next
 }
 
 /// The sampled-round oracle: re-derives `rounds` cohort rounds from

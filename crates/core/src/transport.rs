@@ -19,7 +19,9 @@
 use std::sync::Arc;
 
 use goldfish_fed::aggregate::ClientUpdate;
-use goldfish_fed::transport::{client_seed, TransportError};
+use goldfish_fed::transport::{
+    client_seed, RoundSource, StreamedUpdate, TrainAssign, TransportError, UpdateSink,
+};
 use goldfish_fed::{netpool, ModelFactory};
 use goldfish_nn::loss::{HardLoss, HardLossSpec};
 
@@ -42,9 +44,10 @@ pub struct UnlearnJob {
 }
 
 /// Server-side transport contract for the unlearning flow: deliver the
-/// job + teacher to every live client, then collect distillation-round
-/// updates exactly like [`goldfish_fed::transport::RoundTransport`]
-/// collects training-round updates.
+/// job + teacher to every live client, then run distillation rounds
+/// through the same sink contract as
+/// [`goldfish_fed::transport::RoundTransport`]'s training rounds, so
+/// [`goldfish_fed::transport::RoundRuntime`] admits and folds both.
 pub trait DistillTransport {
     /// Number of currently live clients.
     fn num_clients(&self) -> usize;
@@ -68,6 +71,84 @@ pub trait DistillTransport {
         seed: u64,
         global: &[f32],
     ) -> Vec<Result<ClientUpdate, TransportError>>;
+
+    /// Runs one distillation round (`assign.round`, `assign.seed`,
+    /// `assign.global`; `assign.cfg` is unused), feeding each reply to
+    /// `sink` as it arrives — the
+    /// [`goldfish_fed::transport::RoundTransport::train_round_streamed`]
+    /// contract, and the path an unlearning drain drives. The default
+    /// replays [`DistillTransport::distill_round`], every reply echoing
+    /// `assign.nonce`.
+    fn distill_round_streamed(
+        &mut self,
+        assign: &TrainAssign<'_>,
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+    ) {
+        results.clear();
+        results.extend(
+            self.distill_round(assign.round, assign.seed, assign.global)
+                .into_iter()
+                .map(|r| {
+                    r.and_then(|u| {
+                        sink(StreamedUpdate {
+                            client_id: u.client_id,
+                            num_samples: u.num_samples,
+                            nonce: assign.nonce,
+                            state: &u.state,
+                        })
+                    })
+                }),
+        );
+    }
+
+    /// The registry a drain round admits replies against: `(client_id,
+    /// remaining samples)` of every live client after the deletion,
+    /// strictly ascending by id, written into `out` (cleared first). The
+    /// default knows nothing, which fails the drain with
+    /// [`TransportError::NoLiveClients`]: serving transports are driven
+    /// through their training registry instead (the serve coordinator
+    /// wires it), stand-alone ones override this.
+    fn distill_cohort_into(&self, out: &mut Vec<(usize, usize)>) {
+        out.clear();
+    }
+
+    /// Evicts a client a drain round quarantined; `false` when the
+    /// transport cannot (the default — the round engine still excludes
+    /// it from every later cohort).
+    fn evict(&mut self, client_id: usize) -> bool {
+        let _ = client_id;
+        false
+    }
+}
+
+/// The distillation rounds of a [`DistillTransport`], as the round
+/// engine drives them. Drain rounds are never sampled, so `fan_out`
+/// always contacts every live client.
+pub(crate) struct DistillRounds<'a>(pub(crate) &'a mut dyn DistillTransport);
+
+impl RoundSource for DistillRounds<'_> {
+    fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
+        self.0.distill_cohort_into(out);
+    }
+
+    fn num_clients(&self) -> usize {
+        self.0.num_clients()
+    }
+
+    fn fan_out(
+        &mut self,
+        assign: &TrainAssign<'_>,
+        _cohort: Option<&[(usize, usize)]>,
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+    ) {
+        self.0.distill_round_streamed(assign, sink, results);
+    }
+
+    fn quarantine(&mut self, client_id: usize) -> bool {
+        self.0.evict(client_id)
+    }
 }
 
 /// One client's worker state across the rounds of an unlearning request:
@@ -209,7 +290,8 @@ impl std::fmt::Debug for ClientDistiller {
 /// Never produces stragglers.
 pub struct LoopbackDistill {
     factory: ModelFactory,
-    splits: Vec<ClientSplit>,
+    /// `(client_id, split)`, ascending by id.
+    splits: Vec<(usize, ClientSplit)>,
     hard: Arc<dyn HardLoss>,
     threads: Option<usize>,
     distillers: Vec<ClientDistiller>,
@@ -228,11 +310,17 @@ impl LoopbackDistill {
     ) -> Self {
         LoopbackDistill {
             factory,
-            splits,
+            splits: splits.into_iter().enumerate().collect(),
             hard,
             threads,
             distillers: Vec::new(),
         }
+    }
+
+    /// Keeps only the clients `keep` accepts (by id): the others get no
+    /// distiller, compute nothing and upload nothing.
+    pub fn retain_clients(&mut self, keep: impl Fn(usize) -> bool) {
+        self.splits.retain(|(id, _)| keep(*id));
     }
 }
 
@@ -254,10 +342,9 @@ impl DistillTransport for LoopbackDistill {
         self.distillers = self
             .splits
             .iter()
-            .enumerate()
             .map(|(id, split)| {
                 ClientDistiller::new(
-                    id,
+                    *id,
                     Arc::clone(&self.factory),
                     split.clone(),
                     teacher.to_vec(),
@@ -293,6 +380,15 @@ impl DistillTransport for LoopbackDistill {
             .into_iter()
             .map(|u| Ok(u.expect("missing loopback distill update")))
             .collect()
+    }
+
+    fn distill_cohort_into(&self, out: &mut Vec<(usize, usize)>) {
+        out.clear();
+        out.extend(
+            self.distillers
+                .iter()
+                .map(|d| (d.client_id(), d.num_samples())),
+        );
     }
 }
 
@@ -376,6 +472,36 @@ mod tests {
         let u0 = d.round(&global, 0, 5);
         let u1 = d.round(&u0.state, 1, 5);
         assert_ne!(u0.state, u1.state);
+    }
+
+    #[test]
+    fn retained_clients_keep_their_ids_and_the_rest_get_no_distiller() {
+        let (factory, splits, teacher) = fixture();
+        let global = (factory)(17).state_vector();
+        let mut lb = LoopbackDistill::new(
+            Arc::clone(&factory),
+            splits.clone(),
+            Arc::new(CrossEntropy),
+            Some(2),
+        );
+        lb.retain_clients(|id| id == 1);
+        lb.begin_unlearn(&job(), &teacher).unwrap();
+        assert_eq!(lb.num_clients(), 1);
+        let mut cohort = Vec::new();
+        lb.distill_cohort_into(&mut cohort);
+        assert_eq!(cohort, vec![(1, 40)]);
+        let got = lb.distill_round(0, 5, &global);
+        let u = got[0].as_ref().unwrap();
+        assert_eq!((got.len(), u.client_id), (1, 1));
+        let mut lone = ClientDistiller::new(
+            1,
+            Arc::clone(&factory),
+            splits[1].clone(),
+            teacher,
+            job().local,
+            Arc::new(CrossEntropy),
+        );
+        assert_eq!(lone.round(&global, 0, 5).state, u.state);
     }
 
     #[test]

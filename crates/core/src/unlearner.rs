@@ -7,21 +7,25 @@
 //! `D_f`; see the basic-model description in §III-B). Clients with removed
 //! data additionally apply the negative hard term and the confusion term
 //! on `D_f^c`. The server aggregates with the adaptive-weight rule of the
-//! extension module (Eqs 12–13) unless configured for plain FedAvg.
+//! extension module (Eqs 12–13) unless configured for plain FedAvg. The
+//! rounds run through [`RoundRuntime`], the engine training rounds use:
+//! every reply passes its admission layer and strike ledger, and its
+//! configured fold combines them.
 
 use std::sync::Arc;
 
 use goldfish_data::Dataset;
-use goldfish_fed::aggregate::{AggregationStrategy, FedAvg};
-use goldfish_fed::transport::{collect_round, RoundDriver, TransportError};
-use goldfish_fed::{eval, netpool, pool, ModelFactory};
+use goldfish_fed::eval::{self, ServerScorer};
+use goldfish_fed::trainer::TrainConfig;
+use goldfish_fed::transport::{round_nonce, RoundRuntime, TrainAssign, TransportError};
+use goldfish_fed::{netpool, ModelFactory};
 use goldfish_nn::loss::{CrossEntropy, HardLoss};
 
 use crate::basic_model::{reinit_seed, GoldfishLocalConfig};
 use crate::extension::AdaptiveWeightAggregation;
 use crate::loss::LossWeights;
 use crate::method::{UnlearnOutcome, UnlearnSetup, UnlearningMethod};
-use crate::transport::{DistillTransport, LoopbackDistill, UnlearnJob};
+use crate::transport::{DistillRounds, DistillTransport, LoopbackDistill, UnlearnJob};
 
 /// The Goldfish unlearning method ("Ours" in every table and figure).
 #[derive(Clone)]
@@ -129,22 +133,27 @@ impl UnlearningMethod for GoldfishUnlearning {
             rounds: setup.rounds,
             threads: None,
         };
-        self.unlearn_over(&server, &mut transport, seed)
-            .expect("loopback distillation never fails")
+        self.unlearn_over(
+            &server,
+            &mut RoundRuntime::new(None, 0),
+            &mut transport,
+            seed,
+        )
+        .expect("loopback distillation never fails")
     }
 }
 
 impl GoldfishUnlearning {
     /// Runs the Goldfish unlearning round loop (Algorithm 1, server side)
     /// over any [`DistillTransport`]: reinitialise the global model, ship
-    /// the job + frozen teacher, then per round collect distillation
-    /// updates (straggler drop + re-round, sorted by client id so
-    /// aggregation is arrival-order independent), evaluate uploads
-    /// server-side when the adaptive-weight rule needs Eq 12's MSE, and
-    /// aggregate. Evaluation and aggregation run on a compute pool of
-    /// `server.threads` threads; the reinitialised `ω0` is the one
-    /// network built by the factory, every evaluation borrows a warm
-    /// network from [`netpool`].
+    /// the job + frozen teacher, then run each distillation round through
+    /// `runtime` ([`RoundRuntime::run_distill`]) — its admission layer,
+    /// strike ledger, re-round/quorum policy and configured fold. With
+    /// adaptive aggregation on, the fold weighs the admitted uploads by
+    /// Eq 12's server-side MSE ([`ServerScorer`], scored in parallel on
+    /// a pool of `server.threads` threads); off, by their sample counts.
+    /// The reinitialised `ω0` is the one network built by the factory,
+    /// every evaluation borrows a warm network from [`netpool`].
     ///
     /// # Errors
     ///
@@ -153,38 +162,40 @@ impl GoldfishUnlearning {
     pub fn unlearn_over(
         &self,
         server: &UnlearnServer<'_>,
+        runtime: &mut RoundRuntime,
         transport: &mut dyn DistillTransport,
         seed: u64,
     ) -> Result<UnlearnOutcome, TransportError> {
         // Algorithm 1, line 12: reinitialise the global model ω0.
         let mut global = (server.factory)(reinit_seed(seed)).state_vector();
-        let strategy: Box<dyn AggregationStrategy> = if self.adaptive_aggregation {
-            Box::new(AdaptiveWeightAggregation)
-        } else {
-            Box::new(FedAvg)
-        };
         let job = UnlearnJob {
             local: self.local,
             hard: self.hard.spec(),
         };
         transport.begin_unlearn(&job, server.original_global)?;
+        let scorer = ServerScorer {
+            factory: server.factory,
+            test: server.test,
+            threads: server.threads,
+        };
+        // Eqs 12–13: weights from each upload's MSE on the server's test
+        // set (identical to a client-side evaluation of the same state).
+        let adaptive = |states: &[&[f32]]| AdaptiveWeightAggregation::weights(&scorer.mse(states));
+        let weigh = self.adaptive_aggregation.then_some(&adaptive as _);
+        // Distill workers ignore the training config the round carries.
+        let cfg = TrainConfig::default();
+        let mut next = Vec::new();
         let mut round_accuracies = Vec::with_capacity(server.rounds);
         for round in 0..server.rounds {
-            let mut updates = collect_round(|| transport.distill_round(round, seed, &global))?;
-            if self.adaptive_aggregation {
-                // Eq 12's me_c^t, evaluated server-side from the uploaded
-                // state (identical to a client-side evaluation of the
-                // same state).
-                RoundDriver {
-                    factory: server.factory,
-                    test: server.test,
-                    threads: server.threads,
-                    eval_mse: true,
-                    eval_clients: false,
-                }
-                .fill_server_mse(&mut updates);
-            }
-            global = pool::install(server.threads, || strategy.aggregate(&updates));
+            let assign = TrainAssign {
+                round,
+                seed,
+                nonce: round_nonce(seed, round),
+                global: &global,
+                cfg: &cfg,
+            };
+            runtime.run_distill(&mut DistillRounds(transport), &assign, weigh, &mut next)?;
+            std::mem::swap(&mut global, &mut next);
             round_accuracies.push(netpool::with(server.factory, &global, |net| {
                 eval::accuracy(net, server.test)
             }));
@@ -390,7 +401,7 @@ mod tests {
         // keeps the teacher), client 1 has 150 (no tail).
         use crate::basic_model::{reference_loss, train_distill_cached, TeacherCache};
         use crate::loss::GoldfishLoss;
-        use goldfish_fed::aggregate::ClientUpdate;
+        use goldfish_fed::aggregate::{AggregationStrategy, ClientUpdate};
         use goldfish_fed::transport::client_seed;
 
         let (setup, _) = setup_fixture(3);

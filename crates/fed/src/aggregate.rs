@@ -746,6 +746,37 @@ impl RobustBuffer {
         Ok(())
     }
 
+    /// Replaces the per-slot weights with ones computed from the held
+    /// states — the Eqs 12–13 weight source of a drain round. `weigh`
+    /// sees the reported states in ascending client-id order and returns
+    /// one weight each. Slots that never reported are dropped, so the
+    /// finish folds exactly the reported set with fractions `w / Σw`
+    /// (`Σ` in id order — the arithmetic of [`weighted_mean`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weigh` returns the wrong number of weights or weights
+    /// that do not sum to a positive total.
+    pub fn reweigh(&mut self, weigh: &dyn Fn(&[&[f32]]) -> Vec<f64>) {
+        let mut kept = 0;
+        for slot in 0..self.ids.len() {
+            if self.slots[slot].is_some() {
+                self.ids[kept] = self.ids[slot];
+                self.slots.swap(kept, slot);
+                kept += 1;
+            }
+        }
+        self.ids.truncate(kept);
+        self.slots.truncate(kept);
+        let states: Vec<&[f32]> = self.slots.iter().flatten().map(Vec::as_slice).collect();
+        let weights = weigh(&states);
+        assert_eq!(weights.len(), kept, "one weight per reported update");
+        let total: f64 = weights.iter().sum();
+        assert!(total > 0.0, "aggregation weights sum to zero");
+        self.fracs.clear();
+        self.fracs.extend(weights.iter().map(|&w| w / total));
+    }
+
     /// Cohort members whose updates are held.
     pub fn offered_count(&self) -> usize {
         self.received
@@ -959,6 +990,21 @@ impl RoundAccumulator {
         }
     }
 
+    /// [`RoundAccumulator::begin`] for a round whose weights only exist
+    /// once every update is in ([`RoundAccumulator::reweigh`]): the
+    /// buffer holds every update in every mode, the mean becoming its
+    /// `trimmed:0` fold (bitwise [`weighted_mean`]).
+    pub fn begin_held(&mut self, mode: AggregationMode, cohort: &[(usize, f64)], state_len: usize) {
+        self.rule = Some(match mode {
+            AggregationMode::Mean | AggregationMode::NormClipped { .. } => {
+                RobustRule::TrimmedMean { trim: 0 }
+            }
+            AggregationMode::TrimmedMean { trim } => RobustRule::TrimmedMean { trim },
+            AggregationMode::Median => RobustRule::Median,
+        });
+        self.robust.begin(cohort, state_len);
+    }
+
     /// Offers one arriving update (see [`StreamingMean::offer`]).
     ///
     /// # Errors
@@ -1003,6 +1049,18 @@ impl RoundAccumulator {
             None => self.mean.resident(),
             Some(_) => self.robust.offered_count(),
         }
+    }
+
+    /// Re-weights the held updates from their states
+    /// ([`RobustBuffer::reweigh`]); the round must have been armed with
+    /// [`RoundAccumulator::begin_held`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the round streams (nothing is held to re-weigh).
+    pub fn reweigh(&mut self, weigh: &dyn Fn(&[&[f32]]) -> Vec<f64>) {
+        assert!(self.rule.is_some(), "reweigh needs a held round");
+        self.robust.reweigh(weigh);
     }
 
     /// Finishes over the full cohort.

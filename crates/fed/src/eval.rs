@@ -10,6 +10,48 @@ use goldfish_metrics as metrics;
 use goldfish_nn::Network;
 use goldfish_tensor::{ops, Tensor};
 
+use crate::{netpool, pool, ModelFactory};
+
+/// Server-side scoring of uploaded states on the held-out test set —
+/// the one scorer behind the Eq 12 weights of a drain, `Federation`'s
+/// adaptive aggregation and its per-client accuracies. Each score is a
+/// pure function of `(state, test)` computed on a warm network from
+/// [`netpool`], in parallel on a compute pool of `threads` threads, so
+/// remote and in-process runs score identically at any pool size.
+#[derive(Clone, Copy)]
+pub struct ServerScorer<'a> {
+    /// Architecture factory the states are installed into.
+    pub factory: &'a ModelFactory,
+    /// The server's held-out test set.
+    pub test: &'a Dataset,
+    /// Compute-pool override ([`pool::install`] semantics).
+    pub threads: Option<usize>,
+}
+
+impl ServerScorer<'_> {
+    /// `metric` of every state, in state order.
+    pub fn score(&self, states: &[&[f32]], metric: fn(&mut Network, &Dataset) -> f64) -> Vec<f64> {
+        let (factory, test) = (self.factory, self.test);
+        let mut scores = vec![0.0f64; states.len()];
+        pool::install(self.threads, || {
+            pool::for_each_slot(&mut scores, |i, score| {
+                *score = netpool::with(factory, states[i], |net| metric(net, test));
+            });
+        });
+        scores
+    }
+
+    /// Eq 12's `me_c^t` of every state ([`mse`]).
+    pub fn mse(&self, states: &[&[f32]]) -> Vec<f64> {
+        self.score(states, mse)
+    }
+
+    /// Test accuracy of every state ([`accuracy`]).
+    pub fn accuracy(&self, states: &[&[f32]]) -> Vec<f64> {
+        self.score(states, accuracy)
+    }
+}
+
 /// Batch size used for evaluation passes (memory bound, not a
 /// hyperparameter).
 const EVAL_BATCH: usize = 256;

@@ -5,9 +5,10 @@ use goldfish_nn::Network;
 use serde::{Deserialize, Serialize};
 
 use crate::aggregate::{AggregationStrategy, ClientUpdate};
+use crate::eval::ServerScorer;
 use crate::trainer::TrainConfig;
-use crate::transport::{LoopbackClients, RoundDriver, RoundTransport, StateLenError, TrainAssign};
-use crate::{eval, netpool, ModelFactory};
+use crate::transport::{LoopbackClients, RoundTransport, StateLenError, TrainAssign};
+use crate::{eval, netpool, pool, ModelFactory};
 
 /// A federated-learning simulation: one server, `n` clients holding local
 /// datasets, and a shared model architecture.
@@ -126,13 +127,10 @@ impl Federation {
     }
 
     /// Runs one federated round: every client trains locally from the
-    /// current global state (in parallel), the server evaluates and
-    /// aggregates with `strategy`, and the new global model is installed.
-    ///
-    /// The loop itself is the transport-independent
-    /// [`RoundDriver`]; this method drives it over the in-process
-    /// [`LoopbackClients`] transport. `goldfish-serve` drives the same
-    /// loop over TCP.
+    /// current global state (in parallel, over the in-process
+    /// [`LoopbackClients`] transport), the server scores the uploads
+    /// ([`ServerScorer`]) and aggregates with `strategy`, and the new
+    /// global model is installed.
     ///
     /// # Panics
     ///
@@ -144,30 +142,19 @@ impl Federation {
         seed: u64,
     ) -> RoundReport {
         assert!(!self.clients.is_empty(), "federation has no clients");
-        let driver = RoundDriver {
-            factory: &self.factory,
-            test: &self.test,
-            threads: self.threads,
-            eval_mse: true,
-            eval_clients: self.eval_clients,
+        let updates = self.local_updates(round, seed);
+        let client_accuracies = if self.eval_clients {
+            let states: Vec<&[f32]> = updates.iter().map(|u| u.state.as_slice()).collect();
+            self.scorer().accuracy(&states)
+        } else {
+            Vec::new()
         };
-        let mut transport = LoopbackClients::new(&self.factory, &self.clients, self.threads);
-        let assign = TrainAssign {
-            round,
-            seed,
-            nonce: crate::transport::round_nonce(seed, round),
-            global: &self.global,
-            cfg: &self.cfg,
-        };
-        let driven = driver
-            .run_round(&mut transport, &assign, strategy)
-            .expect("loopback clients never fail");
-        self.global = driven.global;
+        self.global = pool::install(self.threads, || strategy.aggregate(&updates));
         RoundReport {
             round,
-            global_accuracy: driven.global_accuracy,
-            client_accuracies: driven.client_accuracies,
-            client_sizes: driven.client_sizes,
+            global_accuracy: self.global_accuracy(),
+            client_accuracies,
+            client_sizes: updates.iter().map(|u| u.num_samples).collect(),
         }
     }
 
@@ -213,15 +200,20 @@ impl Federation {
         // Server-side evaluation of each upload (Eq 12): a pure function
         // of (state, test), so the value is the same the client itself
         // would have reported.
-        RoundDriver {
+        let states: Vec<&[f32]> = updates.iter().map(|u| u.state.as_slice()).collect();
+        let mses = self.scorer().mse(&states);
+        for (u, mse) in updates.iter_mut().zip(mses) {
+            u.server_mse = Some(mse);
+        }
+        updates
+    }
+
+    fn scorer(&self) -> ServerScorer<'_> {
+        ServerScorer {
             factory: &self.factory,
             test: &self.test,
             threads: self.threads,
-            eval_mse: true,
-            eval_clients: false,
         }
-        .fill_server_mse(&mut updates);
-        updates
     }
 }
 

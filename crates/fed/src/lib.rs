@@ -13,9 +13,10 @@
 //!   shared pool, the server aggregates and re-broadcasts,
 //! * [`transport`] — the server↔client transport abstraction: the
 //!   [`transport::RoundTransport`] contract, the in-process
-//!   [`transport::LoopbackClients`] implementation, and the
-//!   transport-independent [`transport::RoundDriver`] round loop
-//!   (`goldfish-serve` adds the TCP implementation),
+//!   [`transport::LoopbackClients`] implementation, and
+//!   [`transport::RoundRuntime`], the one round engine training and
+//!   unlearning drains share (`goldfish-serve` adds the TCP
+//!   implementation),
 //! * [`pool`] — the shared rayon compute pool with a configurable thread
 //!   count; every parallel federated step (client training, evaluation,
 //!   chunked aggregation) runs on it,

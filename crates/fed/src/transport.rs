@@ -12,18 +12,18 @@
 //! * [`LoopbackClients`] — the in-process implementation: exactly the
 //!   parallel client execution the pre-refactor `Federation::local_updates`
 //!   performed, pinned bitwise by `tests/runtime_identity.rs`,
-//! * [`RoundDriver`] — the transport-independent round loop: assignment,
-//!   straggler drop + re-round, arrival-order-independent aggregation
-//!   (updates are sorted by client id before `weighted_mean`), server-side
-//!   evaluation,
+//! * [`RoundRuntime`] — the one round engine: admission layer,
+//!   strike/quarantine ledger, straggler re-round and quorum policy, and
+//!   the arrival-order-independent fold, for training rounds and (through
+//!   [`RoundSource`]) the distillation rounds of an unlearning drain,
 //! * [`client_seed`] — the one place the per-client per-round RNG seed is
 //!   derived, shared by every transport so remote workers reproduce the
 //!   in-process run bit for bit.
 //!
 //! The networked implementation (`TcpTransport` in `goldfish-serve`) speaks
 //! a length-prefixed binary protocol over `std::net` and plugs into the
-//! same driver; DESIGN.md §10 specifies the wire format and the determinism
-//! argument.
+//! same runtime; DESIGN.md §10 specifies the wire format and the
+//! determinism argument.
 
 use goldfish_data::Dataset;
 use goldfish_telemetry::clock::Clock;
@@ -33,11 +33,11 @@ use goldfish_telemetry::registry::{Counter, Gauge, Histogram, Registry};
 use std::collections::BTreeSet;
 
 use crate::aggregate::{
-    clip_update_into, delta_norm, l2_norm, AggregateError, AggregationMode, AggregationStrategy,
-    ClientUpdate, RoundAccumulator,
+    clip_update_into, delta_norm, l2_norm, AggregateError, AggregationMode, ClientUpdate,
+    RoundAccumulator,
 };
 use crate::trainer::{train_local_ce, TrainConfig};
-use crate::{eval, netpool, pool, ModelFactory};
+use crate::{netpool, pool, ModelFactory};
 
 /// Derives the seed of client `id` in round `round` from the round-loop
 /// base seed. Every transport (in-process or remote) must use this exact
@@ -275,7 +275,10 @@ impl std::fmt::Display for StateLenError {
 
 impl std::error::Error for StateLenError {}
 
-/// One round's marching orders, broadcast to every client.
+/// One round's marching orders, broadcast to every client. A
+/// distillation round of an unlearning drain travels in the same shape;
+/// its workers ignore `cfg` (the unlearning job shipped their
+/// configuration).
 #[derive(Debug, Clone, Copy)]
 pub struct TrainAssign<'a> {
     /// Round index (0-based).
@@ -317,9 +320,9 @@ pub type UpdateSink<'s> = dyn FnMut(StreamedUpdate<'_>) -> Result<(), TransportE
 /// for clients that delivered, `Err` for stragglers and lost connections.
 /// Entry order is **unspecified** (a remote transport yields arrival
 /// order); callers that aggregate must sort by
-/// [`ClientUpdate::client_id`] first — [`RoundDriver`] does. A failed
-/// client is expected to be dropped from the live set, so later rounds
-/// simply no longer include it.
+/// [`ClientUpdate::client_id`] first. A failed client is expected to be
+/// dropped from the live set, so later rounds simply no longer include
+/// it. The serving path is the streamed one, driven by [`RoundRuntime`].
 pub trait RoundTransport {
     /// Number of currently live clients.
     fn num_clients(&self) -> usize;
@@ -333,9 +336,9 @@ pub trait RoundTransport {
     /// The aggregation cohort the next round will deliver: `(client_id,
     /// num_samples)` of every live client, **strictly ascending by id**,
     /// written into `out` (cleared first, so a warm vector never
-    /// reallocates). An empty result means the transport cannot predict
-    /// its cohort and streaming callers must fall back to the buffered
-    /// path. The default knows nothing.
+    /// reallocates). [`RoundRuntime`] admits every update against it; an
+    /// empty registry fails the round with
+    /// [`TransportError::NoLiveClients`]. The default knows nothing.
     fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
         out.clear();
     }
@@ -347,7 +350,8 @@ pub trait RoundTransport {
     /// owned so warm rounds don't allocate): `Ok(())` for a delivered-
     /// and-accepted update, the transport or sink error otherwise. The
     /// default buffers via `train_round` and replays — correct for any
-    /// transport, overlapping for none.
+    /// transport, overlapping for none. (A transport whose native path
+    /// is this one implements `train_round` with [`collect_streamed`].)
     fn train_round_streamed(
         &mut self,
         assign: &TrainAssign<'_>,
@@ -481,147 +485,114 @@ impl RoundTransport for LoopbackClients<'_> {
     }
 }
 
-/// Collects one round's updates from `attempt`, applying the straggler
-/// policy: when some clients fail but others deliver, the round is
-/// **re-run** (the transport has dropped the stragglers, so the retry
-/// covers the surviving cohort only — every update in the aggregated set
-/// then comes from the same, consistent cohort). Client training is
-/// deterministic given the assignment, so a re-round costs time, never
-/// changes results.
-///
-/// Returns the updates sorted by client id (arrival order erased).
-///
-/// # Errors
-///
-/// [`TransportError::NoLiveClients`] when every client is gone.
-pub fn collect_round<F>(mut attempt: F) -> Result<Vec<ClientUpdate>, TransportError>
-where
-    F: FnMut() -> Vec<Result<ClientUpdate, TransportError>>,
-{
-    loop {
-        let results = attempt();
-        if results.is_empty() {
-            return Err(TransportError::NoLiveClients);
-        }
-        let had_errors = results.iter().any(|r| r.is_err());
-        let mut updates: Vec<ClientUpdate> = results.into_iter().filter_map(|r| r.ok()).collect();
-        if !had_errors {
-            updates.sort_by_key(|u| u.client_id);
-            // A second update from one client is a protocol violation,
-            // not something to silently drop: folding either copy would
-            // let a duplicating client double its aggregation weight
-            // unnoticed.
-            if let Some(w) = updates
-                .windows(2)
-                .find(|w| w[0].client_id == w[1].client_id)
-            {
-                return Err(TransportError::DuplicateUpdate {
-                    client_id: w[0].client_id,
+/// Collects one round of a streamed fan-out into the buffered contract
+/// ([`RoundTransport::train_round`] and its distillation twin): `run`
+/// drives the streamed path with a sink that copies every update whose
+/// echoed nonce is `nonce` (a stale one is the typed
+/// [`UpdateViolation::StaleNonce`]). Returns the copies plus every client
+/// error, in no particular order.
+pub fn collect_streamed(
+    nonce: u64,
+    run: impl FnOnce(&mut UpdateSink<'_>, &mut Vec<Result<(), TransportError>>),
+) -> Vec<Result<ClientUpdate, TransportError>> {
+    let mut updates = Vec::new();
+    let mut results = Vec::new();
+    run(
+        &mut |u: StreamedUpdate<'_>| {
+            if u.nonce != nonce {
+                return Err(TransportError::Rejected {
+                    client_id: u.client_id,
+                    violation: UpdateViolation::StaleNonce {
+                        got: u.nonce,
+                        want: nonce,
+                    },
                 });
             }
-            return Ok(updates);
-        }
-        if updates.is_empty() {
-            return Err(TransportError::NoLiveClients);
-        }
-        // Some clients delivered, some didn't: the transport has dropped
-        // the failures from its live set; redo the round over the
-        // survivors.
-    }
+            updates.push(Ok(ClientUpdate {
+                client_id: u.client_id,
+                state: u.state.to_vec(),
+                num_samples: u.num_samples,
+                server_mse: None,
+            }));
+            Ok(())
+        },
+        &mut results,
+    );
+    updates.extend(results.into_iter().filter_map(Result::err).map(Err));
+    updates
 }
 
-/// Result of one transport-driven round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DrivenRound {
-    /// The new global state after aggregation.
-    pub global: Vec<f32>,
-    /// Test accuracy of the new global model.
-    pub global_accuracy: f64,
-    /// Test accuracy of every delivered client model (empty unless
-    /// requested), in client-id order.
-    pub client_accuracies: Vec<f64>,
-    /// Delivered clients' dataset sizes, in client-id order.
-    pub client_sizes: Vec<usize>,
-}
+/// One round's fan-out as [`RoundRuntime`] drives it: the live registry
+/// it admits against, the fan-out itself, and eviction. Training rounds
+/// adapt any [`RoundTransport`]; `goldfish-core` adapts its
+/// `DistillTransport` for the distillation rounds of an unlearning
+/// drain, so both round kinds run through one admission layer, one
+/// strike ledger and one fold.
+pub trait RoundSource {
+    /// The live registry — `(client_id, num_samples)`, strictly
+    /// ascending by id — written into `out` (cleared first).
+    fn cohort_into(&self, out: &mut Vec<(usize, usize)>);
 
-/// The transport-independent federated round loop: everything the server
-/// does with a round's updates once a [`RoundTransport`] has collected
-/// them. [`crate::federation::Federation`] drives it over
-/// [`LoopbackClients`]; `goldfish-serve`'s coordinator drives it over TCP.
-pub struct RoundDriver<'a> {
-    /// Architecture factory for server-side evaluation of uploads.
-    pub factory: &'a ModelFactory,
-    /// The server's held-out test set.
-    pub test: &'a Dataset,
-    /// Compute-pool override for evaluation and aggregation.
-    pub threads: Option<usize>,
-    /// Evaluate each upload's MSE on the test set (Eq 12 input). The
-    /// evaluation happens **server-side** from the uploaded state vector,
-    /// so remote and in-process runs produce identical numbers.
-    pub eval_mse: bool,
-    /// Also record each upload's test accuracy (Fig 8 error bars).
-    pub eval_clients: bool,
-}
+    /// Number of currently live clients.
+    fn num_clients(&self) -> usize;
 
-impl RoundDriver<'_> {
-    /// Runs one federated round over `transport`: broadcast `assign`,
-    /// collect updates (straggler drop + re-round, sorted by client id),
-    /// evaluate server-side, aggregate with `strategy`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TransportError::NoLiveClients`] when nobody delivers.
-    pub fn run_round(
-        &self,
-        transport: &mut dyn RoundTransport,
+    /// Runs the round over every live client — or over `cohort` only,
+    /// when given — feeding each delivered update to `sink` as it
+    /// arrives and pushing one outcome per contacted client into
+    /// `results` (the [`RoundTransport::train_round_streamed`] contract).
+    fn fan_out(
+        &mut self,
         assign: &TrainAssign<'_>,
-        strategy: &dyn AggregationStrategy,
-    ) -> Result<DrivenRound, TransportError> {
-        let mut updates = collect_round(|| transport.train_round(assign))?;
-        if self.eval_mse {
-            self.fill_server_mse(&mut updates);
+        cohort: Option<&[(usize, usize)]>,
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+    );
+
+    /// Evicts a client the round loop quarantined; `false` when the
+    /// transport cannot (the runtime still excludes it from cohorts).
+    fn quarantine(&mut self, client_id: usize) -> bool;
+}
+
+/// Training rounds over a [`RoundTransport`].
+struct TrainRounds<'a>(&'a mut dyn RoundTransport);
+
+impl RoundSource for TrainRounds<'_> {
+    fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
+        self.0.cohort_into(out);
+    }
+
+    fn num_clients(&self) -> usize {
+        self.0.num_clients()
+    }
+
+    fn fan_out(
+        &mut self,
+        assign: &TrainAssign<'_>,
+        cohort: Option<&[(usize, usize)]>,
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+    ) {
+        match cohort {
+            Some(cohort) => self.0.train_round_sampled(assign, cohort, sink, results),
+            None => self.0.train_round_streamed(assign, sink, results),
         }
-        let client_accuracies = if self.eval_clients {
-            self.client_accuracies(&updates)
-        } else {
-            Vec::new()
-        };
-        let global = pool::install(self.threads, || strategy.aggregate(&updates));
-        let global_accuracy =
-            netpool::with(self.factory, &global, |net| eval::accuracy(net, self.test));
-        Ok(DrivenRound {
-            global,
-            global_accuracy,
-            client_accuracies,
-            client_sizes: updates.iter().map(|u| u.num_samples).collect(),
-        })
     }
 
-    /// Evaluates each upload's MSE on the test set (in parallel), writing
-    /// `server_mse`. A pure function of `(state, test)`, so it matches
-    /// what a client-side evaluation of the same state would report.
-    pub fn fill_server_mse(&self, updates: &mut [ClientUpdate]) {
-        let factory = self.factory;
-        let test = self.test;
-        pool::install(self.threads, || {
-            pool::for_each_slot(updates, |_, u| {
-                u.server_mse = Some(netpool::with(factory, &u.state, |net| eval::mse(net, test)));
-            });
-        });
+    fn quarantine(&mut self, client_id: usize) -> bool {
+        self.0.quarantine(client_id)
     }
+}
 
-    /// Test accuracy of each upload, in update order.
-    pub fn client_accuracies(&self, updates: &[ClientUpdate]) -> Vec<f64> {
-        let factory = self.factory;
-        let test = self.test;
-        let mut accs = vec![0.0f64; updates.len()];
-        pool::install(self.threads, || {
-            pool::for_each_slot(&mut accs, |i, slot| {
-                *slot = netpool::with(factory, &updates[i].state, |net| eval::accuracy(net, test));
-            });
-        });
-        accs
-    }
+/// The Eqs 12–13 weight source of a drain round: maps the admitted
+/// states (ascending client id) to one weight each, once every update
+/// is in (see [`RoundRuntime::run_distill`]).
+pub type SlotWeigher<'a> = dyn Fn(&[&[f32]]) -> Vec<f64> + 'a;
+
+/// Which kind of round [`RoundRuntime::run_round`] is running.
+#[derive(Clone, Copy)]
+enum RoundKind<'w> {
+    Train,
+    Distill { weigh: Option<&'w SlotWeigher<'w>> },
 }
 
 /// The round loop's robustness policy (DESIGN.md §13): which fold to
@@ -813,11 +784,12 @@ impl RoundMetrics {
     }
 }
 
-/// The persistent streaming round loop — the serve coordinator's hot
-/// path. Where [`RoundDriver`] buffers all N updates, sorts them and
-/// hands the batch to an [`AggregationStrategy`], a `RoundRuntime` folds
-/// each update into a [`RoundAccumulator`] **as it arrives** (FedAvg
-/// weights from the transport's registry), so aggregation overlaps with
+/// The one round engine — the serve coordinator's hot path for
+/// training rounds ([`RoundRuntime::run_hot`]) and for the distillation
+/// rounds of an unlearning drain ([`RoundRuntime::run_distill`]). A
+/// `RoundRuntime` folds each update into a [`RoundAccumulator`] **as it
+/// arrives** (FedAvg weights from the transport's registry; a drain's
+/// Eqs 12–13 weights once its slots are full), so aggregation overlaps with
 /// stragglers' I/O, memory holds at most the configured window of
 /// resident updates, and a warm runtime performs **zero heap
 /// allocations per round** on a single-thread pool (pinned by
@@ -825,12 +797,12 @@ impl RoundMetrics {
 /// machinery's task-queue allocations, never per-update state buffers).
 ///
 /// Under the default [`RobustConfig`] (mean, no quorum, no bounds) the
-/// aggregate is bitwise identical to the buffered path's `FedAvg` over
-/// the same cohort — see [`crate::aggregate::StreamingMean`] for the
+/// aggregate is bitwise identical to a buffered `FedAvg` over the same
+/// cohort, sorted by client id — see [`crate::aggregate::StreamingMean`] for the
 /// argument and DESIGN.md §11/§13 for the invariants. The runtime also
-/// owns the **admission layer** (nonce, delta-norm, duplicate, finite
-/// checks) and the per-client strike/quarantine reputation state, so
-/// every transport gets the same defense.
+/// owns the **admission layer** (nonce, length, delta-norm, duplicate,
+/// finite checks) and the per-client strike/quarantine reputation
+/// state, so every transport and every round kind gets the same defense.
 #[derive(Debug)]
 pub struct RoundRuntime {
     agg: RoundAccumulator,
@@ -1021,19 +993,19 @@ impl RoundRuntime {
         });
     }
 
-    /// Runs one streamed federated round over `transport` and writes the
-    /// aggregate into `global_out` (reused, so a warm call never
-    /// allocates). Straggler policy matches [`collect_round`]: when some
-    /// clients fail and the transport dropped them, the round re-runs
-    /// over the shrunken cohort; an error that shrinks nothing (e.g. a
-    /// window overflow on a transport that cannot drop clients) is
-    /// propagated instead of retried forever.
+    /// Runs one streamed federated training round over `transport` and
+    /// writes the aggregate into `global_out` (reused, so a warm call
+    /// never allocates). When some clients fail and the transport
+    /// dropped them, the round re-runs over the shrunken cohort; an
+    /// error that shrinks nothing (e.g. a window overflow on a transport
+    /// that cannot drop clients) is propagated instead of retried
+    /// forever.
     ///
     /// Robustness extensions (DESIGN.md §13):
     ///
     /// * every update passes the **admission layer** first — round-nonce
-    ///   match, cohort membership + registered weight, optional
-    ///   delta-norm bound (or clipping under
+    ///   match, cohort membership + registered weight, state length,
+    ///   optional delta-norm bound (or clipping under
     ///   [`AggregationMode::NormClipped`]), duplicate and finite checks
     ///   in the accumulator;
     /// * a typed violation earns the sender a strike (at most one per
@@ -1056,6 +1028,55 @@ impl RoundRuntime {
         assign: &TrainAssign<'_>,
         global_out: &mut Vec<f32>,
     ) -> Result<(), TransportError> {
+        self.run_round(
+            &mut TrainRounds(transport),
+            assign,
+            RoundKind::Train,
+            global_out,
+        )
+    }
+
+    /// Runs one distillation round of an unlearning drain through the
+    /// same admission layer, strike ledger, re-round/quorum policy and
+    /// fold as [`RoundRuntime::run_hot`]. Drain rounds are never
+    /// sampled and leave the training-round record alone: no
+    /// `rounds_*`/re-round/cohort/resident metrics, no
+    /// `RoundStarted`/`RoundCommitted` events, no
+    /// [`RoundRuntime::last_outcome`] update.
+    ///
+    /// With `weigh` (the Eqs 12–13 adaptive weights) every admitted
+    /// update is held in a fixed slot and weighted once the attempt
+    /// completes; the slots live only for this round, never on top of
+    /// the next training round's memory. Without it the registered
+    /// sample counts weight the fold, exactly as in training.
+    ///
+    /// # Errors
+    ///
+    /// As [`RoundRuntime::run_hot`].
+    pub fn run_distill(
+        &mut self,
+        source: &mut dyn RoundSource,
+        assign: &TrainAssign<'_>,
+        weigh: Option<&SlotWeigher<'_>>,
+        global_out: &mut Vec<f32>,
+    ) -> Result<(), TransportError> {
+        let training = std::mem::take(&mut self.agg);
+        let done = self.run_round(source, assign, RoundKind::Distill { weigh }, global_out);
+        self.agg = training;
+        done
+    }
+
+    fn run_round(
+        &mut self,
+        source: &mut dyn RoundSource,
+        assign: &TrainAssign<'_>,
+        kind: RoundKind<'_>,
+        global_out: &mut Vec<f32>,
+    ) -> Result<(), TransportError> {
+        let (train, weigh) = match kind {
+            RoundKind::Train => (true, None),
+            RoundKind::Distill { weigh } => (false, weigh),
+        };
         // Violators excluded from this round's later attempts (strike
         // already taken; their late arrivals are silently discarded so a
         // still-connected attacker cannot wedge the re-round loop).
@@ -1065,11 +1086,10 @@ impl RoundRuntime {
         // the draw is a pure function of (round seed, registry,
         // fraction), so eligibility cannot drift when re-round attempts
         // shrink the live set (DESIGN.md §14). `pinned_round` stays
-        // false for registry-less transports, which keep the unsampled
-        // path.
+        // false for drains and empty registries.
         let mut pinned_round = false;
-        if let Some(fraction) = self.sampling {
-            transport.cohort_into(&mut self.registry);
+        if let (Some(fraction), true) = (self.sampling, train) {
+            source.cohort_into(&mut self.registry);
             self.registry
                 .retain(|&(id, _)| !self.quarantined.contains(&id));
             if !self.registry.is_empty() {
@@ -1090,7 +1110,7 @@ impl RoundRuntime {
         let mut attempt: u64 = 0;
         loop {
             attempt += 1;
-            if attempt > 1 {
+            if attempt > 1 && train {
                 self.metrics.reround_attempts_total.inc();
                 self.metrics.trace.record(EventKind::ReRound {
                     round: assign.round as u64,
@@ -1101,7 +1121,7 @@ impl RoundRuntime {
                 // Each attempt covers the still-live pinned members —
                 // a mid-round disconnect shrinks the attempt, it never
                 // re-draws from the shrunken registry.
-                transport.cohort_into(&mut self.registry);
+                source.cohort_into(&mut self.registry);
                 let registry = &self.registry;
                 let quarantined = &self.quarantined;
                 self.cohort.clear();
@@ -1112,60 +1132,38 @@ impl RoundRuntime {
                             && !excluded.contains(&id)
                     }));
             } else {
-                transport.cohort_into(&mut self.cohort);
+                source.cohort_into(&mut self.cohort);
                 self.cohort
                     .retain(|&(id, _)| !self.quarantined.contains(&id) && !excluded.contains(&id));
             }
             if self.cohort.is_empty() {
-                if !pinned_round
-                    && transport.num_clients() > self.quarantined.len()
-                    && excluded.is_empty()
-                {
-                    // Transport without a registry: buffered fallback.
-                    let updates = collect_round(|| transport.train_round(assign))?;
-                    let agg = pool::install(self.threads, || {
-                        crate::aggregate::FedAvg.aggregate(&updates)
-                    });
-                    global_out.clear();
-                    global_out.extend_from_slice(&agg);
-                    self.outcome = RoundOutcome {
-                        degraded: false,
-                        reported: updates.len(),
-                        cohort: updates.len(),
-                    };
-                    self.metrics.rounds_total.inc();
-                    self.metrics
-                        .updates_admitted_total
-                        .add(updates.len() as u64);
-                    self.metrics.cohort_size.set(updates.len() as i64);
-                    self.metrics.trace.record(EventKind::RoundCommitted {
-                        round: assign.round as u64,
-                        reported: updates.len() as u64,
-                        cohort: updates.len() as u64,
-                        degraded: 0,
-                    });
-                    return Ok(());
-                }
                 return Err(TransportError::NoLiveClients);
             }
             let n_before = self.cohort.len();
-            self.metrics.cohort_size.set(n_before as i64);
-            if attempt == 1 {
-                self.metrics.trace.record(EventKind::RoundStarted {
-                    round: assign.round as u64,
-                    cohort: n_before as u64,
-                });
+            if train {
+                self.metrics.cohort_size.set(n_before as i64);
+                if attempt == 1 {
+                    self.metrics.trace.record(EventKind::RoundStarted {
+                        round: assign.round as u64,
+                        cohort: n_before as u64,
+                    });
+                }
             }
             self.weights.clear();
             self.weights
                 .extend(self.cohort.iter().map(|&(id, n)| (id, n.max(1) as f64)));
-            let window = if self.window == 0 {
-                n_before
+            if weigh.is_some() {
+                self.agg
+                    .begin_held(self.robust.mode, &self.weights, assign.global.len());
             } else {
-                self.window
-            };
-            self.agg
-                .begin(self.robust.mode, &self.weights, assign.global.len(), window);
+                let window = if self.window == 0 {
+                    n_before
+                } else {
+                    self.window
+                };
+                self.agg
+                    .begin(self.robust.mode, &self.weights, assign.global.len(), window);
+            }
             let clip_limit = match self.robust.mode {
                 AggregationMode::NormClipped { limit } => Some(limit),
                 _ => None,
@@ -1178,6 +1176,7 @@ impl RoundRuntime {
             let skip2 = &excluded;
             let results = &mut self.results;
             let metrics = &self.metrics;
+            let cohort_arg = pinned_round.then_some(cohort.as_slice());
             pool::install(self.threads, || {
                 let sink = &mut |u: StreamedUpdate<'_>| {
                     // Already-judged (or evicted) senders: discard, the
@@ -1218,27 +1217,30 @@ impl RoundRuntime {
                             })
                         }
                     }
+                    // A wrong-length state is judged before any norm is
+                    // taken over it.
+                    if u.state.len() != assign.global.len() {
+                        return Err(map_aggregate_error(
+                            u.client_id,
+                            AggregateError::StateLenMismatch {
+                                client_id: u.client_id,
+                                got: u.state.len(),
+                                want: assign.global.len(),
+                            },
+                        ));
+                    }
                     // Norm policy: clip under NormClipped (an update
                     // under the limit passes through bitwise-untouched),
                     // reject over an explicit admission bound otherwise.
+                    let mut state = u.state;
                     if let Some(limit) = clip_limit {
-                        let rel = delta_norm(assign.global, u.state) / (1.0 + global_norm);
+                        let rel = delta_norm(assign.global, state) / (1.0 + global_norm);
                         if rel.is_finite() && rel > limit {
-                            clip_update_into(assign.global, u.state, limit / rel, clip_buf);
-                            let fold_start = metrics.clock.now_nanos();
-                            let folded = agg
-                                .offer(u.client_id, clip_buf)
-                                .map_err(|e| map_aggregate_error(u.client_id, e));
-                            metrics.agg_fold_seconds.observe_nanos(
-                                metrics.clock.now_nanos().saturating_sub(fold_start),
-                            );
-                            if folded.is_ok() {
-                                metrics.updates_admitted_total.inc();
-                            }
-                            return folded;
+                            clip_update_into(assign.global, state, limit / rel, clip_buf);
+                            state = clip_buf;
                         }
                     } else if let Some(limit) = max_delta {
-                        let rel = delta_norm(assign.global, u.state) / (1.0 + global_norm);
+                        let rel = delta_norm(assign.global, state) / (1.0 + global_norm);
                         if rel > limit {
                             return Err(TransportError::Rejected {
                                 client_id: u.client_id,
@@ -1248,7 +1250,7 @@ impl RoundRuntime {
                     }
                     let fold_start = metrics.clock.now_nanos();
                     let folded = agg
-                        .offer(u.client_id, u.state)
+                        .offer(u.client_id, state)
                         .map_err(|e| map_aggregate_error(u.client_id, e));
                     metrics
                         .agg_fold_seconds
@@ -1258,11 +1260,7 @@ impl RoundRuntime {
                     }
                     folded
                 };
-                if pinned_round {
-                    transport.train_round_sampled(assign, cohort, sink, results);
-                } else {
-                    transport.train_round_streamed(assign, sink, results);
-                }
+                source.fan_out(assign, cohort_arg, sink, results);
             });
             if self.results.is_empty() {
                 return Err(TransportError::NoLiveClients);
@@ -1305,7 +1303,7 @@ impl RoundRuntime {
                     strikes,
                 });
                 if evicted {
-                    transport.quarantine(client_id);
+                    source.quarantine(client_id);
                     self.metrics.quarantines_total.inc();
                     self.metrics.trace.record(EventKind::Quarantined {
                         client: client_id as u64,
@@ -1315,40 +1313,38 @@ impl RoundRuntime {
                         .push(RobustnessEvent::Quarantined { client_id, strikes });
                 }
             }
-            let first_err = self.results.iter().find_map(|r| r.as_ref().err().cloned());
-            if self.agg.is_complete() {
-                // Every cohort member folded; late violations (e.g. a
-                // duplicate second frame) were already charged above.
+            // Every cohort member folded (late violations, e.g. a
+            // duplicate second frame, were already charged above) — or
+            // a quorum of the cohort reported, and the round finishes
+            // degraded over the id-sorted reported set instead of
+            // re-rounding.
+            let reported = self.agg.offered_count();
+            let degraded = if self.agg.is_complete() {
+                Some(false)
+            } else {
+                self.robust.quorum.and_then(|q| {
+                    let needed = ((q * n_before as f64).ceil() as usize).clamp(1, n_before);
+                    (reported >= needed).then_some(true)
+                })
+            };
+            if let Some(degraded) = degraded {
+                if let Some(weigh) = weigh {
+                    self.agg.reweigh(weigh);
+                }
                 self.agg
-                    .finish_into(global_out)
-                    .expect("complete accumulator");
-                self.outcome = RoundOutcome {
-                    degraded: false,
-                    reported: n_before,
-                    cohort: n_before,
-                };
-                self.commit_metrics(assign.round);
-                return Ok(());
-            }
-            // Quorum-degraded finish: enough of the cohort reported —
-            // fold what arrived (deterministically, over the id-sorted
-            // reported set) instead of re-rounding.
-            if let Some(q) = self.robust.quorum {
-                let reported = self.agg.offered_count();
-                let needed = ((q * n_before as f64).ceil() as usize).clamp(1, n_before);
-                if reported >= needed {
-                    self.agg
-                        .finish_partial_into(global_out)
-                        .expect("quorum implies a non-empty fold");
+                    .finish_partial_into(global_out)
+                    .expect("a finishing round holds at least one update");
+                if train {
                     self.outcome = RoundOutcome {
-                        degraded: true,
+                        degraded,
                         reported,
                         cohort: n_before,
                     };
                     self.commit_metrics(assign.round);
-                    return Ok(());
                 }
+                return Ok(());
             }
+            let first_err = self.results.iter().find_map(|r| r.as_ref().err().cloned());
             match first_err {
                 None => {
                     // Every result Ok but cohort members missing: the
@@ -1365,7 +1361,7 @@ impl RoundRuntime {
                     // clients, so `num_clients()` would never shrink and
                     // the error would wrongly propagate.
                     let remaining = if pinned_round {
-                        transport.cohort_into(&mut self.registry);
+                        source.cohort_into(&mut self.registry);
                         let registry = &self.registry;
                         let quarantined = &self.quarantined;
                         self.pinned
@@ -1377,12 +1373,12 @@ impl RoundRuntime {
                             })
                             .count()
                     } else {
-                        transport.num_clients()
+                        source.num_clients()
                     };
                     if remaining > 0 && (remaining < n_before || newly_excluded) {
                         // Progress was made — stragglers dropped from the
                         // live set or violators excluded from the cohort;
-                        // re-round over the survivors (training is
+                        // re-round over the survivors (client compute is
                         // deterministic — a re-round costs time, never
                         // changes results).
                         continue;
@@ -1414,7 +1410,7 @@ fn map_aggregate_error(client_id: usize, e: AggregateError) -> TransportError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::FedAvg;
+    use crate::aggregate::{weighted_mean, AggregationStrategy, FedAvg};
     use goldfish_data::synthetic::{self, SyntheticSpec};
     use goldfish_nn::zoo;
     use rand::{rngs::StdRng, SeedableRng};
@@ -1449,7 +1445,11 @@ mod tests {
             global: &global,
             cfg: &cfg,
         };
-        let updates = collect_round(|| lb.train_round(&assign)).unwrap();
+        let updates: Vec<ClientUpdate> = lb
+            .train_round(&assign)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
         assert_eq!(updates.len(), 2);
         for (id, u) in updates.iter().enumerate() {
             assert_eq!(u.client_id, id);
@@ -1462,80 +1462,8 @@ mod tests {
     }
 
     #[test]
-    fn driver_round_aggregates_sorted() {
-        let (factory, clients, test, cfg) = fixture();
-        let global = (factory)(1).state_vector();
-        let driver = RoundDriver {
-            factory: &factory,
-            test: &test,
-            threads: Some(2),
-            eval_mse: true,
-            eval_clients: true,
-        };
-        let mut lb = LoopbackClients::new(&factory, &clients, Some(2));
-        let assign = TrainAssign {
-            round: 0,
-            seed: 4,
-            nonce: round_nonce(4, 0),
-            global: &global,
-            cfg: &cfg,
-        };
-        let out = driver.run_round(&mut lb, &assign, &FedAvg).unwrap();
-        assert_eq!(out.client_sizes, vec![60, 60]);
-        assert_eq!(out.client_accuracies.len(), 2);
-        assert!(out.global_accuracy >= 0.0 && out.global_accuracy <= 1.0);
-        assert_eq!(out.global.len(), global.len());
-    }
-
-    #[test]
-    fn collect_round_reorders_and_retries() {
-        // First attempt: client 1 delivered, client 0 failed → re-round.
-        // Second attempt: only client 1 (survivor), delivered.
-        let upd = |id: usize| ClientUpdate {
-            client_id: id,
-            state: vec![id as f32],
-            num_samples: 1,
-            server_mse: None,
-        };
-        let mut calls = 0;
-        let got = collect_round(|| {
-            calls += 1;
-            if calls == 1 {
-                vec![Err(TransportError::Timeout { client_id: 0 }), Ok(upd(1))]
-            } else {
-                vec![Ok(upd(1))]
-            }
-        })
-        .unwrap();
-        assert_eq!(calls, 2);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].client_id, 1);
-    }
-
-    #[test]
-    fn collect_round_sorts_arrival_order() {
-        let upd = |id: usize| ClientUpdate {
-            client_id: id,
-            state: vec![],
-            num_samples: 1,
-            server_mse: None,
-        };
-        let got = collect_round(|| vec![Ok(upd(2)), Ok(upd(0)), Ok(upd(1))]).unwrap();
-        let ids: Vec<usize> = got.iter().map(|u| u.client_id).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn collect_round_reports_dead_federation() {
-        let got = collect_round(|| vec![Err(TransportError::Timeout { client_id: 0 })]);
-        assert_eq!(got, Err(TransportError::NoLiveClients));
-        let got = collect_round(Vec::new);
-        assert_eq!(got, Err(TransportError::NoLiveClients));
-    }
-
-    #[test]
-    fn round_runtime_matches_buffered_driver_bitwise() {
-        let (factory, clients, test, cfg) = fixture();
+    fn round_runtime_matches_sorted_fedavg_bitwise() {
+        let (factory, clients, _test, cfg) = fixture();
         let global = (factory)(1).state_vector();
         let assign = TrainAssign {
             round: 2,
@@ -1544,16 +1472,15 @@ mod tests {
             global: &global,
             cfg: &cfg,
         };
-        // Buffered reference: the pre-change collect→sort→FedAvg loop.
-        let driver = RoundDriver {
-            factory: &factory,
-            test: &test,
-            threads: Some(2),
-            eval_mse: false,
-            eval_clients: false,
-        };
+        // Oracle: every update collected, sorted by client id, FedAvg.
         let mut lb = LoopbackClients::new(&factory, &clients, Some(2));
-        let buffered = driver.run_round(&mut lb, &assign, &FedAvg).unwrap().global;
+        let mut updates: Vec<ClientUpdate> = lb
+            .train_round(&assign)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+        updates.sort_by_key(|u| u.client_id);
+        let buffered = FedAvg.aggregate(&updates);
 
         // Streaming path, several windows and thread counts.
         for (threads, window) in [(1, 0), (2, 0), (4, 1), (2, 64)] {
@@ -1739,18 +1666,6 @@ mod tests {
             global,
             cfg,
         }
-    }
-
-    #[test]
-    fn collect_round_rejects_duplicates_typed() {
-        let upd = |id: usize| ClientUpdate {
-            client_id: id,
-            state: vec![id as f32],
-            num_samples: 1,
-            server_mse: None,
-        };
-        let got = collect_round(|| vec![Ok(upd(0)), Ok(upd(1)), Ok(upd(0))]);
-        assert_eq!(got, Err(TransportError::DuplicateUpdate { client_id: 0 }));
     }
 
     #[test]
@@ -1954,6 +1869,127 @@ mod tests {
             }),
             mean
         );
+    }
+
+    #[test]
+    fn run_hot_reruns_over_survivors_and_reports_dead_federations() {
+        // Client 0 times out and the transport drops it; the re-round
+        // folds the survivor alone.
+        struct Straggler {
+            live: Vec<usize>,
+            attempts: usize,
+        }
+        impl RoundTransport for Straggler {
+            fn num_clients(&self) -> usize {
+                self.live.len()
+            }
+            fn cohort_into(&self, out: &mut Vec<(usize, usize)>) {
+                out.clear();
+                out.extend(self.live.iter().map(|&id| (id, 1)));
+            }
+            fn train_round(
+                &mut self,
+                _assign: &TrainAssign<'_>,
+            ) -> Vec<Result<ClientUpdate, TransportError>> {
+                Vec::new()
+            }
+            fn train_round_streamed(
+                &mut self,
+                assign: &TrainAssign<'_>,
+                sink: &mut UpdateSink<'_>,
+                results: &mut Vec<Result<(), TransportError>>,
+            ) {
+                self.attempts += 1;
+                results.clear();
+                for &id in &self.live {
+                    results.push(if id == 0 {
+                        Err(TransportError::Timeout { client_id: 0 })
+                    } else {
+                        sink(StreamedUpdate {
+                            client_id: id,
+                            num_samples: 1,
+                            nonce: assign.nonce,
+                            state: &[id as f32],
+                        })
+                    });
+                }
+                self.live.retain(|&id| id != 0);
+            }
+        }
+        let cfg = TrainConfig::default();
+        let global = vec![0.0f32];
+        let assign = scripted_assign(&global, &cfg);
+        let mut rt = RoundRuntime::new(Some(1), 0);
+        let mut out = Vec::new();
+        let mut t = Straggler {
+            live: vec![0, 1],
+            attempts: 0,
+        };
+        rt.run_hot(&mut t, &assign, &mut out).unwrap();
+        assert_eq!((t.attempts, out.as_slice()), (2, &[1.0f32][..]));
+        assert_eq!(rt.last_cohort(), &[(1, 1)]);
+        assert_eq!(rt.metrics().reround_attempts_total.get(), 1);
+        // Nobody delivers, then nobody is left: typed, never a hang.
+        t.live = vec![0];
+        assert_eq!(
+            rt.run_hot(&mut t, &assign, &mut out),
+            Err(TransportError::NoLiveClients)
+        );
+        assert_eq!(
+            rt.run_hot(&mut t, &assign, &mut out),
+            Err(TransportError::NoLiveClients)
+        );
+    }
+
+    #[test]
+    fn distill_round_weighs_admitted_updates_like_weighted_mean() {
+        let cfg = TrainConfig::default();
+        let global = vec![0.5f32; 3];
+        let assign = scripted_assign(&global, &cfg);
+        let state =
+            |id: usize| -> Vec<f32> { (0..3).map(|j| ((id * 5 + j) as f32 * 0.7).cos()).collect() };
+        let mut frames: Vec<(usize, usize, Option<u64>, Vec<f32>)> =
+            (0..4).map(|id| (id, 10 + id, None, state(id))).collect();
+        frames[2].3[1] = f32::NAN; // diverged: struck, never weighed
+        let mut feed = ScriptedFeed {
+            cohort: (0..4).map(|id| (id, 10 + id)).collect(),
+            frames,
+            timeouts: vec![],
+            quarantined: vec![],
+        };
+        let weigh = |states: &[&[f32]]| -> Vec<f64> {
+            states.iter().map(|s| 1.0 + (s[0] as f64).abs()).collect()
+        };
+        let mut rt = RoundRuntime::new(Some(2), 0);
+        let mut out = Vec::new();
+        rt.run_distill(&mut TrainRounds(&mut feed), &assign, Some(&weigh), &mut out)
+            .unwrap();
+
+        let admitted: Vec<ClientUpdate> = [0, 1, 3]
+            .into_iter()
+            .map(|id| ClientUpdate {
+                client_id: id,
+                state: state(id),
+                num_samples: 10 + id,
+                server_mse: None,
+            })
+            .collect();
+        let states: Vec<&[f32]> = admitted.iter().map(|u| u.state.as_slice()).collect();
+        let want = weighted_mean(&admitted, &weigh(&states));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&want));
+        assert_eq!(
+            rt.drain_events(),
+            vec![RobustnessEvent::Violation {
+                client_id: 2,
+                violation: UpdateViolation::NonFinite,
+                strikes: 1,
+            }]
+        );
+        // The training-round record is untouched by a drain round.
+        assert_eq!(rt.metrics().rounds_total.get(), 0);
+        assert_eq!(rt.last_outcome(), RoundOutcome::default());
+        assert_eq!(rt.peak_resident(), 0);
     }
 
     #[test]

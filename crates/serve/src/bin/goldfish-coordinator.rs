@@ -31,14 +31,19 @@
 //! CI crash-kill-restart demo produces a mid-run corpse to recover.
 //!
 //! Robustness (DESIGN.md §13): `--aggregation mean|trimmed:K|median|
-//! normclip:C` selects the aggregation rule, `--quorum F` lets a round
+//! normclip:C` selects the aggregation rule of training rounds **and**
+//! unlearning drains (a drain weighs its replies by the Eqs 12–13
+//! adaptive weights: `mean` is their weighted mean, `trimmed:K` trims
+//! per coordinate and averages the survivors with them, `median`
+//! ignores them, `normclip:C` clips first), `--quorum F` lets a round
 //! finish degraded over `ceil(F·cohort)` reported updates, and
 //! `--max-strikes K` / `--max-delta-norm X` configure the admission
-//! layer's strike budget and relative-delta-norm bound. `--byzantine
-//! CLIENT:SCRIPT` (e.g. `0:scale:10`, `1:signflip`, `2:replay`) makes
-//! the fault-injection layer corrupt that client's uploads — the CI
-//! Byzantine demo drives one scripted attacker into quarantine and
-//! reads the verdict back out of the audit chain.
+//! layer's strike budget and relative-delta-norm bound — one ledger
+//! for both round kinds. `--byzantine CLIENT:SCRIPT` (e.g.
+//! `0:scale:10`, `1:signflip`, `2:replay`) makes the fault-injection
+//! layer corrupt that client's uploads, training updates and drain
+//! replies alike — the CI Byzantine demos drive scripted attackers
+//! into quarantine and read the verdicts back out of the audit chain.
 //!
 //! Sampling (DESIGN.md §14): `--cohort-fraction F` (0 < F ≤ 1) draws a
 //! seeded `ceil(F·registered)` cohort of the registered workers each

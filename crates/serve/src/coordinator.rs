@@ -4,15 +4,15 @@
 //! request queue, and drives both round loops over any
 //! [`ServeTransport`]:
 //!
-//! * training rounds run through `goldfish_fed`'s transport-independent
-//!   [`RoundDriver`] (straggler drop + re-round, updates sorted by
-//!   client id before aggregation — deterministic under any arrival
-//!   order),
+//! * training rounds run through `goldfish_fed`'s [`RoundRuntime`]
+//!   (admission layer, strike ledger, straggler re-round, a fold
+//!   keyed by client id — deterministic under any arrival order),
 //! * between rounds the queue is drained (the paper's
 //!   request-then-retrain flow): drained requests are staged on the
 //!   transport, the current global becomes the frozen teacher, and
 //!   [`GoldfishUnlearning::unlearn_over`] runs its distillation rounds
-//!   over the same transport.
+//!   over the same transport **and the same runtime** — every reply is
+//!   admitted, struck and folded like a training update.
 //!
 //! A loopback-backed coordinator reproduces `Federation::train_rounds`
 //! and `GoldfishUnlearning::unlearn` bitwise; a TCP-backed one
@@ -23,13 +23,14 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+use goldfish_core::transport::{DistillTransport, UnlearnJob};
 use goldfish_core::{GoldfishUnlearning, UnlearnServer};
 use goldfish_data::Dataset;
-use goldfish_fed::aggregate::AggregationMode;
+use goldfish_fed::aggregate::{AggregationMode, ClientUpdate};
 use goldfish_fed::trainer::TrainConfig;
 use goldfish_fed::transport::{
-    round_nonce, RobustConfig, RobustnessEvent, RoundOutcome, RoundRuntime, StateLenError,
-    TrainAssign, TransportError,
+    round_nonce, RobustConfig, RobustnessEvent, RoundOutcome, RoundRuntime, RoundTransport,
+    StateLenError, TrainAssign, TransportError, UpdateSink,
 };
 use goldfish_fed::ModelFactory;
 use goldfish_telemetry::events::EventKind;
@@ -345,6 +346,49 @@ fn fatal_or<T: ServeTransport>(transport: &T, e: TransportError) -> TransportErr
             reason: reason.to_string(),
         },
         None => e,
+    }
+}
+
+/// A serve transport as a drain runs over it: its distillation contract,
+/// with the registry and eviction of its training side — the
+/// [`RoundTransport`] methods every wrapper forwards — so drain rounds
+/// admit replies against the live set training rounds use, and a client
+/// a drain quarantines is evicted from the transport too.
+struct Drain<'a, T>(&'a mut T);
+
+impl<T: ServeTransport> DistillTransport for Drain<'_, T> {
+    fn num_clients(&self) -> usize {
+        RoundTransport::num_clients(self.0)
+    }
+
+    fn begin_unlearn(&mut self, job: &UnlearnJob, teacher: &[f32]) -> Result<(), TransportError> {
+        self.0.begin_unlearn(job, teacher)
+    }
+
+    fn distill_round(
+        &mut self,
+        round: usize,
+        seed: u64,
+        global: &[f32],
+    ) -> Vec<Result<ClientUpdate, TransportError>> {
+        self.0.distill_round(round, seed, global)
+    }
+
+    fn distill_round_streamed(
+        &mut self,
+        assign: &TrainAssign<'_>,
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+    ) {
+        self.0.distill_round_streamed(assign, sink, results)
+    }
+
+    fn distill_cohort_into(&self, out: &mut Vec<(usize, usize)>) {
+        self.0.cohort_into(out)
+    }
+
+    fn evict(&mut self, client_id: usize) -> bool {
+        self.0.quarantine(client_id)
     }
 }
 
@@ -931,20 +975,31 @@ impl<T: ServeTransport> Coordinator<T> {
         let requests = self.queue.drain();
         self.transport.stage_removals(&requests, serial);
         let teacher = std::mem::take(&mut self.global);
-        let server = UnlearnServer {
-            factory: &self.factory,
-            test: &self.test,
-            original_global: &teacher,
-            rounds: self.cfg.unlearn_rounds,
-            threads: self.cfg.threads,
+        let outcome = {
+            let Coordinator {
+                factory,
+                test,
+                cfg,
+                transport,
+                runtime,
+                ..
+            } = self;
+            let server = UnlearnServer {
+                factory,
+                test,
+                original_global: &teacher,
+                rounds: cfg.unlearn_rounds,
+                threads: cfg.threads,
+            };
+            cfg.method
+                .unlearn_over(&server, runtime, &mut Drain(transport), seed)
         };
-        let outcome = self
-            .cfg
-            .method
-            .unlearn_over(&server, &mut self.transport, seed);
         match outcome {
             Ok(out) => {
                 self.global = out.global_state;
+                // The drain's admission verdicts reach the audit chain
+                // ahead of its commit record, like a training round's.
+                self.commit_robustness_events().map_err(durability_fault)?;
                 self.telemetry
                     .unlearn_requests_served_total
                     .add(requests.len() as u64);

@@ -31,7 +31,8 @@ use crate::transport::{LocalEval, ServeTransport, WireStats};
 use goldfish_core::transport::{DistillTransport, UnlearnJob};
 use goldfish_fed::aggregate::ClientUpdate;
 use goldfish_fed::transport::{
-    RoundTransport, StreamedUpdate, TrainAssign, TransportError, UpdateSink,
+    collect_streamed, round_nonce, RoundTransport, StreamedUpdate, TrainAssign, TransportError,
+    UpdateSink,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -50,11 +51,12 @@ pub enum FaultAction {
     DelayMs(u64),
 }
 
-/// A per-worker Byzantine behaviour, applied to every training update
-/// the scripted worker streams through the wrapper. Scripts act on the
-/// streamed (hot) aggregation path — the one the serving coordinator
-/// runs — and are fully deterministic, so adversarial runs reproduce
-/// bitwise like everything else here.
+/// A per-worker Byzantine behaviour, applied to every update — training
+/// `Update` or drain `UnlearnResult` — the scripted worker streams
+/// through the wrapper. Scripts act on the streamed aggregation path —
+/// the one the serving coordinator runs for both round kinds — and are
+/// fully deterministic, so adversarial runs reproduce bitwise like
+/// everything else here.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ByzantineScript {
     /// Multiply every uploaded coordinate by `factor` (a model-scaling
@@ -309,6 +311,51 @@ impl<T: ServeTransport> FaultyTransport<T> {
     }
 }
 
+impl<T: ServeTransport> FaultyTransport<T> {
+    /// Runs one streamed op (`run` drives the inner transport) under this
+    /// op's fate: a kill reports every client in `dead` as lost — after
+    /// the inner op ran into a discarding sink, for `KillAfter` (workers
+    /// did the compute) — and otherwise drops and Byzantine scripts
+    /// filter each update before it reaches `sink`, exactly where a
+    /// malicious worker's bytes would enter the coordinator. A
+    /// suppressed update surfaces through the inner transport's own
+    /// `results` entry for that client.
+    fn streamed_op(
+        &mut self,
+        dead: impl Iterator<Item = usize>,
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+        run: impl FnOnce(&mut T, &mut UpdateSink<'_>, &mut Vec<Result<(), TransportError>>),
+    ) {
+        let fate = self.begin_op();
+        if self.killed || fate.kill_before || fate.kill_after {
+            if !(self.killed || fate.kill_before) {
+                run(&mut self.inner, &mut |_u| Ok(()), &mut Vec::new());
+            }
+            self.killed = true;
+            results.clear();
+            results.extend(dead.map(|id| Err(self.dead_error(id))));
+            return;
+        }
+        if fate.drops.is_empty() && self.plan.byz.is_empty() {
+            run(&mut self.inner, sink, results);
+            return;
+        }
+        let drops = fate.drops;
+        let FaultyTransport {
+            inner,
+            plan,
+            replay,
+            ..
+        } = self;
+        let mut scratch: Vec<f32> = Vec::new();
+        let mut filtered = |u: StreamedUpdate<'_>| {
+            filter_update(&drops, plan, &mut *replay, &mut scratch, &mut *sink, u)
+        };
+        run(inner, &mut filtered, results);
+    }
+}
+
 impl<T: ServeTransport> RoundTransport for FaultyTransport<T> {
     fn num_clients(&self) -> usize {
         RoundTransport::num_clients(&self.inner)
@@ -322,29 +369,9 @@ impl<T: ServeTransport> RoundTransport for FaultyTransport<T> {
         &mut self,
         assign: &TrainAssign<'_>,
     ) -> Vec<Result<ClientUpdate, TransportError>> {
-        let n = RoundTransport::num_clients(&self.inner);
-        let fate = self.begin_op();
-        if self.killed || fate.kill_before {
-            self.killed = true;
-            return (0..n).map(|id| Err(self.dead_error(id))).collect();
-        }
-        let mut results = self.inner.train_round(assign);
-        if fate.kill_after {
-            self.killed = true;
-            return (0..n).map(|id| Err(self.dead_error(id))).collect();
-        }
-        for r in results.iter_mut() {
-            if let Ok(u) = r {
-                if fate.drops.contains(&u.client_id) {
-                    let id = u.client_id;
-                    *r = Err(TransportError::Disconnected {
-                        client_id: id,
-                        reason: "fault injection: reply dropped".into(),
-                    });
-                }
-            }
-        }
-        results
+        collect_streamed(assign.nonce, |sink, results| {
+            self.train_round_streamed(assign, sink, results)
+        })
     }
 
     fn train_round_streamed(
@@ -353,53 +380,10 @@ impl<T: ServeTransport> RoundTransport for FaultyTransport<T> {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        let n = RoundTransport::num_clients(&self.inner);
-        let fate = self.begin_op();
-        if self.killed || fate.kill_before {
-            self.killed = true;
-            results.clear();
-            results.extend((0..n).map(|id| Err(self.dead_error(id))));
-            return;
-        }
-        if fate.kill_after {
-            // Run the inner round into a discarding sink (workers did
-            // the compute), then report the crash.
-            let mut discard = |_u: StreamedUpdate<'_>| Ok(());
-            let mut inner_results = Vec::new();
-            self.inner
-                .train_round_streamed(assign, &mut discard, &mut inner_results);
-            self.killed = true;
-            results.clear();
-            results.extend((0..n).map(|id| Err(self.dead_error(id))));
-            return;
-        }
-        if fate.drops.is_empty() && self.plan.byz.is_empty() {
-            self.inner.train_round_streamed(assign, sink, results);
-            return;
-        }
-        // Suppress dropped clients' updates and run Byzantine scripts
-        // before frames reach the aggregation sink — exactly where a
-        // malicious worker's bytes would enter the coordinator.
-        let drops = fate.drops;
-        let FaultyTransport {
-            inner,
-            plan,
-            replay,
-            ..
-        } = self;
-        let mut scratch: Vec<f32> = Vec::new();
-        let mut filtered = |u: StreamedUpdate<'_>| {
-            filter_update(&drops, plan, &mut *replay, &mut scratch, &mut *sink, u)
-        };
-        inner.train_round_streamed(assign, &mut filtered, results);
-        for (id, r) in results.iter_mut().enumerate() {
-            if r.is_ok() && drops.contains(&id) {
-                *r = Err(TransportError::Disconnected {
-                    client_id: id,
-                    reason: "fault injection: reply dropped".into(),
-                });
-            }
-        }
+        let dead = 0..RoundTransport::num_clients(&self.inner);
+        self.streamed_op(dead, sink, results, |inner, sink, results| {
+            inner.train_round_streamed(assign, sink, results)
+        });
     }
 
     fn train_round_sampled(
@@ -409,43 +393,10 @@ impl<T: ServeTransport> RoundTransport for FaultyTransport<T> {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        let fate = self.begin_op();
-        if self.killed || fate.kill_before {
-            self.killed = true;
-            results.clear();
-            results.extend(cohort.iter().map(|&(id, _)| Err(self.dead_error(id))));
-            return;
-        }
-        if fate.kill_after {
-            let mut discard = |_u: StreamedUpdate<'_>| Ok(());
-            let mut inner_results = Vec::new();
-            self.inner
-                .train_round_sampled(assign, cohort, &mut discard, &mut inner_results);
-            self.killed = true;
-            results.clear();
-            results.extend(cohort.iter().map(|&(id, _)| Err(self.dead_error(id))));
-            return;
-        }
-        if fate.drops.is_empty() && self.plan.byz.is_empty() {
-            self.inner
-                .train_round_sampled(assign, cohort, sink, results);
-            return;
-        }
-        // Same interception point as the full-fan-out path; a sink
-        // error (including a drop suppression) surfaces through the
-        // inner transport's own `results` entry for that client.
-        let drops = fate.drops;
-        let FaultyTransport {
-            inner,
-            plan,
-            replay,
-            ..
-        } = self;
-        let mut scratch: Vec<f32> = Vec::new();
-        let mut filtered = |u: StreamedUpdate<'_>| {
-            filter_update(&drops, plan, &mut *replay, &mut scratch, &mut *sink, u)
-        };
-        inner.train_round_sampled(assign, cohort, &mut filtered, results);
+        let dead = cohort.iter().map(|&(id, _)| id);
+        self.streamed_op(dead, sink, results, |inner, sink, results| {
+            inner.train_round_sampled(assign, cohort, sink, results)
+        });
     }
 
     fn quarantine(&mut self, client_id: usize) -> bool {
@@ -569,29 +520,31 @@ impl<T: ServeTransport> DistillTransport for FaultyTransport<T> {
         seed: u64,
         global: &[f32],
     ) -> Vec<Result<ClientUpdate, TransportError>> {
-        let n = DistillTransport::num_clients(&self.inner);
-        let fate = self.begin_op();
-        if self.killed || fate.kill_before {
-            self.killed = true;
-            return (0..n).map(|id| Err(self.dead_error(id))).collect();
-        }
-        let mut results = self.inner.distill_round(round, seed, global);
-        if fate.kill_after {
-            self.killed = true;
-            return (0..n).map(|id| Err(self.dead_error(id))).collect();
-        }
-        for r in results.iter_mut() {
-            if let Ok(u) = r {
-                if fate.drops.contains(&u.client_id) {
-                    let id = u.client_id;
-                    *r = Err(TransportError::Disconnected {
-                        client_id: id,
-                        reason: "fault injection: reply dropped".into(),
-                    });
-                }
-            }
-        }
-        results
+        let cfg = goldfish_fed::trainer::TrainConfig::default();
+        let assign = TrainAssign {
+            round,
+            seed,
+            nonce: round_nonce(seed, round),
+            global,
+            cfg: &cfg,
+        };
+        collect_streamed(assign.nonce, |sink, results| {
+            self.distill_round_streamed(&assign, sink, results)
+        })
+    }
+
+    /// Distillation rounds run under the same fate as training rounds:
+    /// kills, drops and every Byzantine script apply to drains too.
+    fn distill_round_streamed(
+        &mut self,
+        assign: &TrainAssign<'_>,
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+    ) {
+        let dead = 0..DistillTransport::num_clients(&self.inner);
+        self.streamed_op(dead, sink, results, |inner, sink, results| {
+            inner.distill_round_streamed(assign, sink, results)
+        });
     }
 }
 

@@ -53,7 +53,8 @@ use std::time::{Duration, Instant};
 use goldfish_core::transport::{DistillTransport, UnlearnJob};
 use goldfish_fed::aggregate::ClientUpdate;
 use goldfish_fed::transport::{
-    RoundTransport, StreamedUpdate, TrainAssign, TransportError, UpdateSink, UpdateViolation,
+    collect_streamed, round_nonce, RoundTransport, StreamedUpdate, TrainAssign, TransportError,
+    UpdateSink, UpdateViolation,
 };
 use polling::{Event, Events, Poller};
 
@@ -182,11 +183,7 @@ pub struct TcpTransport {
 /// One round-shaped fan-out's borrowed parameters (train or distill).
 struct RoundSpec<'a> {
     mode: RoundMode,
-    round: u64,
-    seed: u64,
-    nonce: u64,
-    cfg: &'a goldfish_fed::trainer::TrainConfig,
-    global: &'a [f32],
+    assign: &'a TrainAssign<'a>,
 }
 
 /// A decoded worker reply leaving the reactor.
@@ -900,20 +897,21 @@ impl TcpTransport {
         spec: &RoundSpec<'_>,
         cohort: Option<&[(usize, usize)]>,
         sink: &mut UpdateSink<'_>,
-        results: &mut Vec<(usize, Result<(), TransportError>)>,
+        results: &mut Vec<Result<(), TransportError>>,
     ) {
         results.clear();
-        let round = spec.round;
+        let assign = spec.assign;
+        let round = assign.round as u64;
         let want_distill = matches!(spec.mode, RoundMode::Distill);
         let enc_start = self.stats.clock.now_nanos();
         let encoded = encode_round_assign_into(
             &mut self.bcast,
             spec.mode,
-            spec.round,
-            spec.seed,
-            spec.nonce,
-            spec.cfg,
-            spec.global,
+            round,
+            assign.seed,
+            assign.nonce,
+            assign.cfg,
+            assign.global,
             &self.cfg.limits,
         );
         self.stats
@@ -927,7 +925,7 @@ impl TcpTransport {
                         None => true,
                         Some(cohort) => cohort.binary_search_by_key(&id, |&(cid, _)| cid).is_ok(),
                     })
-                    .map(|id| (id, Err(map_wire_error(id, e.clone())))),
+                    .map(|id| Err(map_wire_error(id, e.clone()))),
             );
             return;
         }
@@ -956,13 +954,12 @@ impl TcpTransport {
                 let outcome = reply.and_then(|r| match r {
                     Reply::Update { header, state } => {
                         // The nonce is *forwarded*, not checked: the
-                        // streamed path feeds the coordinator's
-                        // admission layer
-                        // ([`goldfish_fed::transport::RoundRuntime`]),
-                        // which judges stale nonces as typed violations
-                        // so they earn strikes instead of a bare
-                        // protocol drop.
-                        let result = check_update_header(id, &header, round, want_distill, None)
+                        // coordinator's admission layer
+                        // ([`goldfish_fed::transport::RoundRuntime`])
+                        // judges stale nonces as typed violations so
+                        // they earn strikes instead of a bare protocol
+                        // drop.
+                        let result = check_update_header(id, &header, round, want_distill)
                             .and_then(|()| {
                                 sink(StreamedUpdate {
                                     client_id: id,
@@ -986,7 +983,7 @@ impl TcpTransport {
             },
         );
         self.drop_failed_and_sort(&mut outcomes);
-        results.append(&mut outcomes);
+        results.extend(outcomes.into_iter().map(|(_, r)| r));
     }
 
     /// Drops the connections of clients whose round outcome was **their
@@ -1028,123 +1025,19 @@ impl TcpTransport {
         }
         outcomes.sort_by_key(|(id, _)| *id);
     }
-
-    /// Buffered round collection (the [`RoundTransport::train_round`] /
-    /// [`DistillTransport::distill_round`] contract).
-    fn round_buffered(
-        &mut self,
-        spec: &RoundSpec<'_>,
-    ) -> Vec<Result<ClientUpdate, TransportError>> {
-        let mut updates: Vec<(usize, Result<ClientUpdate, TransportError>)> = Vec::new();
-        let round = spec.round;
-        let nonce = spec.nonce;
-        let want_distill = matches!(spec.mode, RoundMode::Distill);
-        let enc_start = self.stats.clock.now_nanos();
-        let encoded = encode_round_assign_into(
-            &mut self.bcast,
-            spec.mode,
-            spec.round,
-            spec.seed,
-            spec.nonce,
-            spec.cfg,
-            spec.global,
-            &self.cfg.limits,
-        );
-        self.stats
-            .broadcast_encode_seconds
-            .observe_nanos(self.stats.clock.now_nanos().saturating_sub(enc_start));
-        if let Err(e) = encoded {
-            return self
-                .live_clients()
-                .into_iter()
-                .map(|id| Err(map_wire_error(id, e.clone())))
-                .collect();
-        }
-        let TcpTransport {
-            conns,
-            cfg: tcp_cfg,
-            stats,
-            bcast,
-            state_pool,
-            poller,
-            events,
-            ..
-        } = self;
-        let state_pool: &Mutex<Vec<Vec<f32>>> = state_pool;
-        Self::broadcast(
-            conns,
-            stats,
-            tcp_cfg,
-            state_pool,
-            poller,
-            events,
-            bcast,
-            None,
-            |id, reply| {
-                let outcome = reply.and_then(|r| match r {
-                    Reply::Update { header, state } => {
-                        // The buffered contract has no downstream
-                        // admission layer, so the echoed nonce is
-                        // enforced right here.
-                        match check_update_header(id, &header, round, want_distill, Some(nonce)) {
-                            // The delivered state leaves the pool with
-                            // the update (the buffered contract hands
-                            // ownership to the caller)…
-                            Ok(()) => Ok(ClientUpdate {
-                                client_id: id,
-                                state,
-                                num_samples: header.weight as usize,
-                                server_mse: None,
-                            }),
-                            // …but a rejected one returns its buffer.
-                            Err(e) => {
-                                state_pool
-                                    .lock()
-                                    .unwrap_or_else(|e| e.into_inner())
-                                    .push(state);
-                                Err(e)
-                            }
-                        }
-                    }
-                    _ => Err(TransportError::Protocol {
-                        client_id: id,
-                        reason: "expected a round result".into(),
-                    }),
-                });
-                updates.push((id, outcome));
-            },
-        );
-        self.drop_failed_and_sort(&mut updates);
-        updates.into_iter().map(|(_, u)| u).collect()
-    }
 }
 
 /// Validates an `Update`/`UnlearnResult` header against the round it
-/// answers (shared by the streamed and buffered collection paths, so
-/// they can never diverge in what they accept). `expect_nonce` is
-/// `Some` only on the buffered path — the streamed path forwards the
-/// echoed nonce to the admission layer, which turns a mismatch into a
-/// strike-earning [`TransportError::Rejected`] instead.
+/// answers. The echoed nonce is not judged here: the admission layer
+/// turns a mismatch into a strike-earning [`TransportError::Rejected`].
 fn check_update_header(
     id: usize,
     header: &UpdateHeader,
     round: u64,
     want_distill: bool,
-    expect_nonce: Option<u64>,
 ) -> Result<(), TransportError> {
     if header.distill == want_distill && header.round == round && header.client_id as usize == id {
-        match expect_nonce {
-            Some(want) if header.nonce != want => {
-                return Err(TransportError::Rejected {
-                    client_id: id,
-                    violation: goldfish_fed::transport::UpdateViolation::StaleNonce {
-                        got: header.nonce,
-                        want,
-                    },
-                });
-            }
-            _ => return Ok(()),
-        }
+        return Ok(());
     }
     Err(TransportError::Protocol {
         client_id: id,
@@ -1199,13 +1092,8 @@ impl RoundTransport for TcpTransport {
         &mut self,
         assign: &TrainAssign<'_>,
     ) -> Vec<Result<ClientUpdate, TransportError>> {
-        self.round_buffered(&RoundSpec {
-            mode: RoundMode::Train,
-            round: assign.round as u64,
-            seed: assign.seed,
-            nonce: assign.nonce,
-            cfg: assign.cfg,
-            global: assign.global,
+        collect_streamed(assign.nonce, |sink, results| {
+            self.train_round_streamed(assign, sink, results)
         })
     }
 
@@ -1215,22 +1103,11 @@ impl RoundTransport for TcpTransport {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        let mut outcomes = Vec::new();
-        self.round_streamed(
-            &RoundSpec {
-                mode: RoundMode::Train,
-                round: assign.round as u64,
-                seed: assign.seed,
-                nonce: assign.nonce,
-                cfg: assign.cfg,
-                global: assign.global,
-            },
-            None,
-            sink,
-            &mut outcomes,
-        );
-        results.clear();
-        results.extend(outcomes.into_iter().map(|(_, r)| r));
+        let spec = RoundSpec {
+            mode: RoundMode::Train,
+            assign,
+        };
+        self.round_streamed(&spec, None, sink, results);
     }
 
     /// Sampled round: frames go only to the cohort's connections; every
@@ -1243,22 +1120,11 @@ impl RoundTransport for TcpTransport {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        let mut outcomes = Vec::new();
-        self.round_streamed(
-            &RoundSpec {
-                mode: RoundMode::Train,
-                round: assign.round as u64,
-                seed: assign.seed,
-                nonce: assign.nonce,
-                cfg: assign.cfg,
-                global: assign.global,
-            },
-            Some(cohort),
-            sink,
-            &mut outcomes,
-        );
-        results.clear();
-        results.extend(outcomes.into_iter().map(|(_, r)| r));
+        let spec = RoundSpec {
+            mode: RoundMode::Train,
+            assign,
+        };
+        self.round_streamed(&spec, Some(cohort), sink, results);
     }
 
     /// Evicts `client_id`: its connection is closed (after a
@@ -1454,18 +1320,30 @@ impl DistillTransport for TcpTransport {
     ) -> Vec<Result<ClientUpdate, TransportError>> {
         // cfg travels for frame uniformity but is ignored by distill
         // workers (the job shipped it already).
-        self.round_buffered(&RoundSpec {
-            mode: RoundMode::Distill,
-            round: round as u64,
+        let cfg = goldfish_fed::trainer::TrainConfig::default();
+        let assign = TrainAssign {
+            round,
             seed,
-            // Distill assignments derive their nonce the same way
-            // training rounds do; workers echo whatever the
-            // `RoundAssign` carried, so both sides agree by
-            // construction.
-            nonce: goldfish_fed::transport::round_nonce(seed, round),
-            cfg: &goldfish_fed::trainer::TrainConfig::default(),
+            nonce: round_nonce(seed, round),
             global,
+            cfg: &cfg,
+        };
+        collect_streamed(assign.nonce, |sink, results| {
+            self.distill_round_streamed(&assign, sink, results)
         })
+    }
+
+    fn distill_round_streamed(
+        &mut self,
+        assign: &TrainAssign<'_>,
+        sink: &mut UpdateSink<'_>,
+        results: &mut Vec<Result<(), TransportError>>,
+    ) {
+        let spec = RoundSpec {
+            mode: RoundMode::Distill,
+            assign,
+        };
+        self.round_streamed(&spec, None, sink, results);
     }
 }
 

@@ -22,7 +22,7 @@ use goldfish_data::Dataset;
 use goldfish_fed::aggregate::ClientUpdate;
 use goldfish_fed::trainer::{train_local_hot, TrainWorkspace};
 use goldfish_fed::transport::{
-    client_seed, LoopbackClients, RoundTransport, StreamedUpdate, TrainAssign, TransportError,
+    client_seed, collect_streamed, RoundTransport, StreamedUpdate, TrainAssign, TransportError,
     UpdateSink,
 };
 use goldfish_fed::{eval, netpool, pool, ModelFactory};
@@ -198,8 +198,9 @@ impl LoopbackWorker {
 
 /// The in-process [`ServeTransport`]: owns every client's dataset and a
 /// pool of persistent [`LoopbackWorker`]s. Training rounds run the same
-/// per-client compute as the library's [`LoopbackClients`] executor
-/// (bitwise identical — pinned by `serve_identity`), but through
+/// per-client compute as the library's
+/// [`goldfish_fed::transport::LoopbackClients`] executor (bitwise
+/// identical — pinned by `serve_identity`), but through
 /// long-lived workers feeding the streaming aggregation sink, so a warm
 /// round never touches the allocator. Distillation rounds delegate to
 /// [`LoopbackDistill`]. The reference implementation every TCP run is
@@ -258,7 +259,9 @@ impl RoundTransport for LoopbackTransport {
         &mut self,
         assign: &TrainAssign<'_>,
     ) -> Vec<Result<ClientUpdate, TransportError>> {
-        LoopbackClients::new(&self.factory, &self.clients, self.threads).train_round(assign)
+        collect_streamed(assign.nonce, |sink, results| {
+            self.train_round_streamed(assign, sink, results)
+        })
     }
 
     fn train_round_streamed(
@@ -380,7 +383,7 @@ impl RoundTransport for LoopbackTransport {
 
 impl DistillTransport for LoopbackTransport {
     fn num_clients(&self) -> usize {
-        self.clients.len()
+        self.clients.len() - self.quarantined.len()
     }
 
     fn begin_unlearn(&mut self, job: &UnlearnJob, teacher: &[f32]) -> Result<(), TransportError> {
@@ -415,6 +418,9 @@ impl DistillTransport for LoopbackTransport {
             }
         }
         let mut distill = LoopbackDistill::new(self.factory.clone(), splits, hard, self.threads);
+        // An evicted client is out of the federation: TCP has closed its
+        // connection, so loopback builds it no distiller either.
+        distill.retain_clients(|id| !self.quarantined.contains(&id));
         distill.begin_unlearn(job, teacher)?;
         self.distill = Some(distill);
         Ok(())

@@ -21,9 +21,9 @@ use goldfish_core::optimization::retrain_shard;
 use goldfish_core::transport::UnlearnJob;
 use goldfish_core::{ClientSplit, GoldfishLoss, GoldfishUnlearning};
 use goldfish_data::Dataset;
-use goldfish_fed::aggregate::ClientUpdate;
+use goldfish_fed::eval::ServerScorer;
 use goldfish_fed::trainer::train_local_ce;
-use goldfish_fed::transport::{client_seed, round_seed, RoundDriver};
+use goldfish_fed::transport::{client_seed, round_seed};
 use goldfish_fed::{eval, netpool, ModelFactory};
 use goldfish_nn::loss::HardLossSpec;
 use goldfish_nn::{zoo, Network};
@@ -251,29 +251,23 @@ fn server_evaluation_on_a_dirty_pool_matches_fresh_networks() {
         (spec.factory(), mlp_test, vec![64]),
         (lenet_factory(), lenet_test, vec![1, 16, 16]),
     ] {
-        let mut updates: Vec<ClientUpdate> = (0..3)
-            .map(|k| ClientUpdate {
-                client_id: k,
-                state: (factory)(40 + k as u64).state_vector(),
-                num_samples: 10,
-                server_mse: None,
-            })
+        let states: Vec<Vec<f32>> = (0..3)
+            .map(|k| (factory)(40 + k as u64).state_vector())
             .collect();
-        let driver = RoundDriver {
+        let views: Vec<&[f32]> = states.iter().map(Vec::as_slice).collect();
+        let scorer = ServerScorer {
             factory: &factory,
             test: &test,
             threads: Some(1),
-            eval_mse: true,
-            eval_clients: true,
         };
         dirty_pool(&factory, &sample);
-        driver.fill_server_mse(&mut updates);
+        let mses = scorer.mse(&views);
         dirty_pool(&factory, &sample);
-        let accs = driver.client_accuracies(&updates);
-        for (u, acc) in updates.iter().zip(accs) {
-            let mut fresh = network_from_state(&factory, &u.state, 0);
+        let accs = scorer.accuracy(&views);
+        for ((state, mse), acc) in states.iter().zip(mses).zip(accs) {
+            let mut fresh = network_from_state(&factory, state, 0);
             let want = eval::mse(&mut fresh, &test);
-            assert_eq!(u.server_mse.map(f64::to_bits), Some(want.to_bits()));
+            assert_eq!(mse.to_bits(), want.to_bits());
             assert_eq!(acc, eval::accuracy(&mut fresh, &test));
         }
     }

@@ -11,20 +11,25 @@
 //!    nonces, replays) are struck and quarantined within the strike
 //!    budget, the robust folds keep global drift bounded, and every
 //!    verdict lands in the verified hash-chained audit log.
+//! 4. **Drain probes**: an unlearning drain's `UnlearnResult` replies go
+//!    through the same admission layer — a scaled, a non-finite and a
+//!    wrong-length reply, tampered on a real socket, get the verdicts a
+//!    training `Update` gets, and none of them reaches the fold.
 
 use goldfish_core::basic_model::GoldfishLocalConfig;
+use goldfish_core::transport::DistillTransport;
 use goldfish_core::GoldfishUnlearning;
 use goldfish_fed::aggregate::AggregationMode;
 use goldfish_fed::transport::{RobustnessEvent, UpdateViolation};
 use goldfish_serve::audit::{self, audit_kind};
-use goldfish_serve::coordinator::{round_seed, Coordinator, CoordinatorConfig};
+use goldfish_serve::coordinator::{drain_seed, round_seed, Coordinator, CoordinatorConfig};
 use goldfish_serve::demo::DemoSpec;
 use goldfish_serve::durability::{audit_path, DurableStore};
 use goldfish_serve::fault::{ByzantineScript, FaultPlan, FaultyTransport};
 use goldfish_serve::queue::UnlearnRequest;
 use goldfish_serve::tcp::{bind, TcpConfig, TcpTransport};
 use goldfish_serve::transport::{LoopbackTransport, ServeTransport};
-use goldfish_serve::wire::FrameLimits;
+use goldfish_serve::wire::{read_frame, write_frame, FrameLimits, Msg};
 use goldfish_serve::worker::{run_worker, WorkerRuntime};
 
 const SEED: u64 = 42;
@@ -402,4 +407,265 @@ fn quarantine_verdicts_land_in_the_verified_audit_chain() {
     assert!(sizes[1..].iter().all(|&n| n == spec.samples_per_client));
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// How worker 0 of a drain probe corrupts its reply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tamper {
+    /// Every coordinate ×40.
+    Scale40,
+    /// One coordinate NaN.
+    OneNan,
+    /// Half the state vector.
+    HalfLength,
+    /// No reply: the connection closes instead.
+    Vanish,
+}
+
+/// Worker 0 of a probe: the real worker runtime on a raw socket, its
+/// reply to the first round of kind `distill` corrupted by `tamper`
+/// before it goes on the wire.
+fn tampering_worker(addr: &str, spec: DemoSpec, tamper: Tamper, distill: bool) {
+    let limits = FrameLimits::default();
+    let Ok(mut stream) = std::net::TcpStream::connect(addr) else {
+        return;
+    };
+    let mut rt = WorkerRuntime::new(0, spec.factory(), spec.client_shard(0));
+    if write_frame(&mut stream, &rt.hello(), &limits).is_err()
+        || read_frame(&mut stream, &limits).is_err()
+    {
+        return;
+    }
+    let mut armed = true;
+    while let Ok((msg, _)) = read_frame(&mut stream, &limits) {
+        if matches!(msg, Msg::Shutdown | Msg::Err { .. }) {
+            return;
+        }
+        let mut reply = rt.handle(msg);
+        let state = match &mut reply {
+            Msg::UnlearnResult { state, .. } if distill => Some(state),
+            Msg::Update { state, .. } if !distill => Some(state),
+            _ => None,
+        };
+        if let (Some(state), true) = (state, armed) {
+            armed = false;
+            match tamper {
+                Tamper::Scale40 => state.iter_mut().for_each(|v| *v *= 40.0),
+                Tamper::OneNan => state[0] = f32::NAN,
+                Tamper::HalfLength => state.truncate(state.len() / 2),
+                Tamper::Vanish => return,
+            }
+        }
+        if write_frame(&mut stream, &reply, &limits).is_err() {
+            return;
+        }
+    }
+}
+
+/// What a probe run left behind.
+struct Probe {
+    /// The global right after the tampered round kind committed.
+    global: Vec<u32>,
+    log: Vec<RobustnessEvent>,
+    /// Client 0's entries in the verified audit chain: `(kind, detail)`.
+    audit: Vec<(u8, Vec<u64>)>,
+    /// Whether client 0 was still connected afterwards.
+    still_live: bool,
+}
+
+/// Four TCP workers under `trimmed:1`, `max_delta_norm 0.5` and
+/// `max_strikes 1`: one training round, one deletion, one drain, then
+/// another training round (the coordinator must keep serving). Worker
+/// 0 tampers with its drain reply (`distill`) or its first training
+/// update.
+fn probe(tamper: Tamper, distill: bool) -> Probe {
+    static RUN: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let run = RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("goldfish-drain-probe-{}-{run}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = demo(4);
+    let (listener, addr) = bind("127.0.0.1:0").unwrap();
+    let workers: Vec<_> = (0..spec.clients)
+        .map(|id| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                if id == 0 {
+                    tampering_worker(&addr, spec, tamper, distill);
+                } else {
+                    let mut rt = WorkerRuntime::new(id, spec.factory(), spec.client_shard(id));
+                    let _ = run_worker(&addr, &mut rt, &FrameLimits::default());
+                }
+            })
+        })
+        .collect();
+    let state_len = (spec.factory())(0).state_len();
+    let tcp =
+        TcpTransport::accept(&listener, spec.clients, state_len, TcpConfig::default()).unwrap();
+    let cfg = config(&spec)
+        .with_aggregation(AggregationMode::TrimmedMean { trim: 1 })
+        .with_max_delta_norm(0.5)
+        .with_max_strikes(1);
+    let mut c = Coordinator::new(spec.factory(), spec.test_set(), tcp, cfg);
+    let (store, recovered) = DurableStore::open(&dir).unwrap();
+    c.attach_durability(store, recovered).unwrap();
+    c.train_round_hot(0, round_seed(SEED, 0)).unwrap();
+    let mut global = bits(c.global_state());
+    c.submit_unlearn(UnlearnRequest::new(1, (0..4).collect()))
+        .unwrap();
+    c.drain_unlearning(drain_seed(SEED, 0)).unwrap().unwrap();
+    if distill {
+        global = bits(c.global_state());
+    }
+    c.train_round_hot(1, round_seed(SEED, 1)).unwrap();
+    let still_live = c.transport().live_clients().contains(&0);
+    let log = c.robustness_log().to_vec();
+    c.transport_mut().shutdown();
+    drop(c);
+    for w in workers {
+        let _ = w.join();
+    }
+    let audit = audit::verify_file(&audit_path(&dir))
+        .unwrap()
+        .entries
+        .into_iter()
+        .filter(|e| e.client_id == 0)
+        .map(|e| (e.kind, e.detail))
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    Probe {
+        global,
+        log,
+        audit,
+        still_live,
+    }
+}
+
+#[test]
+fn drain_scaled_reply_is_struck_quarantined_and_never_folded() {
+    let probe = probe(Tamper::Scale40, true);
+    assert_eq!(
+        probe.log,
+        vec![
+            RobustnessEvent::Violation {
+                client_id: 0,
+                violation: UpdateViolation::DeltaNorm,
+                strikes: 1,
+            },
+            RobustnessEvent::Quarantined {
+                client_id: 0,
+                strikes: 1,
+            },
+        ]
+    );
+    assert_eq!(
+        probe.audit,
+        vec![
+            (
+                audit_kind::VIOLATION,
+                vec![UpdateViolation::DeltaNorm.code(), 1]
+            ),
+            (audit_kind::QUARANTINE, vec![1]),
+        ]
+    );
+    assert!(
+        !probe.still_live,
+        "the quarantined worker kept its connection"
+    );
+    // Not folded: the drain commits what it commits when worker 0's
+    // reply never arrives at all.
+    assert_eq!(probe.global, self::probe(Tamper::Vanish, true).global);
+}
+
+#[test]
+fn drain_non_finite_reply_is_a_typed_strike() {
+    let probe = probe(Tamper::OneNan, true);
+    assert_eq!(
+        probe.log.first(),
+        Some(&RobustnessEvent::Violation {
+            client_id: 0,
+            violation: UpdateViolation::NonFinite,
+            strikes: 1,
+        })
+    );
+    assert_eq!(
+        probe.audit.first(),
+        Some(&(
+            audit_kind::VIOLATION,
+            vec![UpdateViolation::NonFinite.code(), 1]
+        ))
+    );
+    assert_eq!(probe.global, self::probe(Tamper::Vanish, true).global);
+}
+
+#[test]
+fn drain_half_length_reply_gets_the_training_verdict() {
+    // A wrong-length training update is a protocol failure: the
+    // connection drops, no strike is charged, the round re-runs over
+    // the survivors. A wrong-length drain reply gets exactly that —
+    // never a coordinator panic.
+    for distill in [false, true] {
+        let probe = probe(Tamper::HalfLength, distill);
+        assert!(probe.log.is_empty(), "distill {distill}: {:?}", probe.log);
+        assert!(probe.audit.is_empty(), "distill {distill}");
+        assert!(!probe.still_live, "distill {distill}");
+        assert_eq!(
+            probe.global,
+            self::probe(Tamper::Vanish, distill).global,
+            "distill {distill}"
+        );
+    }
+}
+
+#[test]
+fn loopback_drain_skips_quarantined_clients_like_tcp() {
+    // Client 2 is quarantined in training (stale nonce, one-strike
+    // budget); the drain that follows must fold the same survivors on
+    // both transports.
+    let spec = demo(4);
+    let plan = || FaultPlan::new().byzantine(2, ByzantineScript::StaleRound);
+    let cfg = || config(&spec).with_max_strikes(1);
+    let run = |c: &mut Coordinator<FaultyTransport<LoopbackTransport>>| {
+        c.train_round_hot(0, round_seed(SEED, 0)).unwrap();
+        assert!(c.is_quarantined(2));
+        assert_eq!(DistillTransport::num_clients(c.transport().inner()), 3);
+        c.submit_unlearn(UnlearnRequest::new(1, (0..4).collect()))
+            .unwrap();
+        c.drain_unlearning(drain_seed(SEED, 0)).unwrap().unwrap();
+        bits(c.global_state())
+    };
+    let loopback = run(&mut coordinator(&spec, cfg(), plan()));
+
+    let (listener, addr) = bind("127.0.0.1:0").unwrap();
+    let workers: Vec<_> = (0..spec.clients)
+        .map(|id| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let spec = demo(4);
+                let mut rt = WorkerRuntime::new(id, spec.factory(), spec.client_shard(id));
+                let _ = run_worker(&addr, &mut rt, &FrameLimits::default());
+            })
+        })
+        .collect();
+    let state_len = (spec.factory())(0).state_len();
+    let tcp =
+        TcpTransport::accept(&listener, spec.clients, state_len, TcpConfig::default()).unwrap();
+    let mut c = Coordinator::new(
+        spec.factory(),
+        spec.test_set(),
+        FaultyTransport::new(tcp, plan()),
+        cfg(),
+    );
+    c.train_round_hot(0, round_seed(SEED, 0)).unwrap();
+    assert!(c.is_quarantined(2));
+    c.submit_unlearn(UnlearnRequest::new(1, (0..4).collect()))
+        .unwrap();
+    c.drain_unlearning(drain_seed(SEED, 0)).unwrap().unwrap();
+    assert_eq!(bits(c.global_state()), loopback);
+    c.transport_mut().shutdown();
+    drop(c);
+    for w in workers {
+        let _ = w.join();
+    }
 }
