@@ -19,8 +19,10 @@
 use std::sync::Arc;
 
 use goldfish_fed::aggregate::ClientUpdate;
+use goldfish_fed::trainer::TrainConfig;
 use goldfish_fed::transport::{
-    client_seed, RoundSource, StreamedUpdate, TrainAssign, TransportError, UpdateSink,
+    client_seed, collect_streamed, round_nonce, RoundSource, StreamedUpdate, TrainAssign,
+    TransportError, UpdateSink,
 };
 use goldfish_fed::{netpool, ModelFactory};
 use goldfish_nn::loss::{HardLoss, HardLossSpec};
@@ -120,6 +122,29 @@ pub trait DistillTransport {
         let _ = client_id;
         false
     }
+}
+
+/// [`DistillTransport::distill_round`] for a transport whose native
+/// path is [`DistillTransport::distill_round_streamed`]: one streamed
+/// round, collected ([`collect_streamed`]).
+pub fn collect_distill_round(
+    transport: &mut (impl DistillTransport + ?Sized),
+    round: usize,
+    seed: u64,
+    global: &[f32],
+) -> Vec<Result<ClientUpdate, TransportError>> {
+    // Distill workers ignore the training config a round carries.
+    let cfg = TrainConfig::default();
+    let assign = TrainAssign {
+        round,
+        seed,
+        nonce: round_nonce(seed, round),
+        global,
+        cfg: &cfg,
+    };
+    collect_streamed(assign.nonce, |sink, results| {
+        transport.distill_round_streamed(&assign, sink, results)
+    })
 }
 
 /// The distillation rounds of a [`DistillTransport`], as the round

@@ -30,7 +30,7 @@ pub struct ServerScorer<'a> {
 
 impl ServerScorer<'_> {
     /// `metric` of every state, in state order.
-    pub fn score(&self, states: &[&[f32]], metric: fn(&mut Network, &Dataset) -> f64) -> Vec<f64> {
+    fn score(&self, states: &[&[f32]], metric: fn(&mut Network, &Dataset) -> f64) -> Vec<f64> {
         let (factory, test) = (self.factory, self.test);
         let mut scores = vec![0.0f64; states.len()];
         pool::install(self.threads, || {

@@ -28,11 +28,10 @@
 
 use crate::queue::UnlearnRequest;
 use crate::transport::{LocalEval, ServeTransport, WireStats};
-use goldfish_core::transport::{DistillTransport, UnlearnJob};
+use goldfish_core::transport::{collect_distill_round, DistillTransport, UnlearnJob};
 use goldfish_fed::aggregate::ClientUpdate;
 use goldfish_fed::transport::{
-    collect_streamed, round_nonce, RoundTransport, StreamedUpdate, TrainAssign, TransportError,
-    UpdateSink,
+    collect_streamed, RoundTransport, StreamedUpdate, TrainAssign, TransportError, UpdateSink,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -520,17 +519,7 @@ impl<T: ServeTransport> DistillTransport for FaultyTransport<T> {
         seed: u64,
         global: &[f32],
     ) -> Vec<Result<ClientUpdate, TransportError>> {
-        let cfg = goldfish_fed::trainer::TrainConfig::default();
-        let assign = TrainAssign {
-            round,
-            seed,
-            nonce: round_nonce(seed, round),
-            global,
-            cfg: &cfg,
-        };
-        collect_streamed(assign.nonce, |sink, results| {
-            self.distill_round_streamed(&assign, sink, results)
-        })
+        collect_distill_round(self, round, seed, global)
     }
 
     /// Distillation rounds run under the same fate as training rounds:

@@ -50,11 +50,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use goldfish_core::transport::{DistillTransport, UnlearnJob};
+use goldfish_core::transport::{collect_distill_round, DistillTransport, UnlearnJob};
 use goldfish_fed::aggregate::ClientUpdate;
 use goldfish_fed::transport::{
-    collect_streamed, round_nonce, RoundTransport, StreamedUpdate, TrainAssign, TransportError,
-    UpdateSink, UpdateViolation,
+    collect_streamed, RoundTransport, StreamedUpdate, TrainAssign, TransportError, UpdateSink,
+    UpdateViolation,
 };
 use polling::{Event, Events, Poller};
 
@@ -178,12 +178,6 @@ pub struct TcpTransport {
     poller: Poller,
     /// Reusable readiness buffer for [`Poller::wait`].
     events: Events,
-}
-
-/// One round-shaped fan-out's borrowed parameters (train or distill).
-struct RoundSpec<'a> {
-    mode: RoundMode,
-    assign: &'a TrainAssign<'a>,
 }
 
 /// A decoded worker reply leaving the reactor.
@@ -894,19 +888,19 @@ impl TcpTransport {
     /// is contacted and reported.
     fn round_streamed(
         &mut self,
-        spec: &RoundSpec<'_>,
+        mode: RoundMode,
+        assign: &TrainAssign<'_>,
         cohort: Option<&[(usize, usize)]>,
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
         results.clear();
-        let assign = spec.assign;
         let round = assign.round as u64;
-        let want_distill = matches!(spec.mode, RoundMode::Distill);
+        let want_distill = matches!(mode, RoundMode::Distill);
         let enc_start = self.stats.clock.now_nanos();
         let encoded = encode_round_assign_into(
             &mut self.bcast,
-            spec.mode,
+            mode,
             round,
             assign.seed,
             assign.nonce,
@@ -1103,11 +1097,7 @@ impl RoundTransport for TcpTransport {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        let spec = RoundSpec {
-            mode: RoundMode::Train,
-            assign,
-        };
-        self.round_streamed(&spec, None, sink, results);
+        self.round_streamed(RoundMode::Train, assign, None, sink, results);
     }
 
     /// Sampled round: frames go only to the cohort's connections; every
@@ -1120,11 +1110,7 @@ impl RoundTransport for TcpTransport {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        let spec = RoundSpec {
-            mode: RoundMode::Train,
-            assign,
-        };
-        self.round_streamed(&spec, Some(cohort), sink, results);
+        self.round_streamed(RoundMode::Train, assign, Some(cohort), sink, results);
     }
 
     /// Evicts `client_id`: its connection is closed (after a
@@ -1318,19 +1304,7 @@ impl DistillTransport for TcpTransport {
         seed: u64,
         global: &[f32],
     ) -> Vec<Result<ClientUpdate, TransportError>> {
-        // cfg travels for frame uniformity but is ignored by distill
-        // workers (the job shipped it already).
-        let cfg = goldfish_fed::trainer::TrainConfig::default();
-        let assign = TrainAssign {
-            round,
-            seed,
-            nonce: round_nonce(seed, round),
-            global,
-            cfg: &cfg,
-        };
-        collect_streamed(assign.nonce, |sink, results| {
-            self.distill_round_streamed(&assign, sink, results)
-        })
+        collect_distill_round(self, round, seed, global)
     }
 
     fn distill_round_streamed(
@@ -1339,11 +1313,7 @@ impl DistillTransport for TcpTransport {
         sink: &mut UpdateSink<'_>,
         results: &mut Vec<Result<(), TransportError>>,
     ) {
-        let spec = RoundSpec {
-            mode: RoundMode::Distill,
-            assign,
-        };
-        self.round_streamed(&spec, None, sink, results);
+        self.round_streamed(RoundMode::Distill, assign, None, sink, results);
     }
 }
 
